@@ -6,21 +6,17 @@ from .errors import (
     CapExceeded,
     ClauseTooWide,
     ContiguityViolation,
-    EmptyTargetSet,
     FlowerShapeViolation,
     HitPathsError,
     InfeasibleConfig,
     InvariantViolation,
     NotAPath,
-    NotASubtree,
-    NotATree,
     ParseError,
     TooFewEdges,
     ValidationError,
 )
 from .flower import (
     FlowerInstance,
-    canonical_range,
     canonical_solution,
     canonical_table,
     fragment_literal,
@@ -34,7 +30,6 @@ from .graph import (
     connect_components,
     cyclomatic_number,
     high_degree_set,
-    identify_vertices,
     is_simple_path,
     path_components,
 )
@@ -74,9 +69,8 @@ from .treecycle import (
     CycleArc,
     Interval,
     hit_paths_in_cycle,
-    hit_subtrees_in_tree,
     stab_intervals,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "1.0.0"
+__version__ = "0.1.0"

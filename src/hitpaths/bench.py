@@ -8,11 +8,11 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import InvariantViolation, ValidationError
 from .fpt import SolveStats, solve
 from .graph import Graph
 from .instance_io import KIND_PATHS, HitPathsInstance, make_instance, unhit_targets
-from .oracle import SetSystem, exact_min_hitting_set
+from .oracle import reference_verdict
 from .reductions import GeneratorConfig, gen_random_instance
 
 
@@ -78,7 +78,8 @@ def run_scaling(ks=(2, 4), repeats=(15, 3)) -> ScalingReport:
             t0 = time.perf_counter()
             sol = solve(inst, stats=stats)
             samples.append(time.perf_counter() - t0)
-            assert sol.verdict == "YES"
+            if sol.verdict != "YES":
+                raise InvariantViolation(f"scaling instance for k={k} solved as NO")
             branch_counts[k] = stats.branches_enumerated
         times[k] = statistics.median(samples)
     lo, hi = min(ks), max(ks)
@@ -114,10 +115,7 @@ def run_agreement(count: int, base_seed: int = 0, ks=(0, 1, 2, 3, 4)) -> Agreeme
         sol = solve(inst, stats=stats)
         times.append(time.perf_counter() - t0)
         max_branches = max(max_branches, stats.branches_enumerated)
-        system = SetSystem.build(inst.graph.n, [frozenset(p) for p in inst.paths])
-        size, _ = exact_min_hitting_set(system, inst.t)
-        expected = "YES" if size is not None else "NO"
-        ok = sol.verdict == expected
+        ok = sol.verdict == reference_verdict(inst).verdict
         if ok and sol.verdict == "YES":
             ok = len(sol.chosen) <= inst.t and not unhit_targets(inst, sol.chosen)
         if ok:

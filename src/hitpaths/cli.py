@@ -14,7 +14,6 @@ from .bench import run_agreement, run_scaling
 from .errors import HitPathsError
 from .fpt import SolveStats, solve
 from .instance_io import (
-    Solution,
     parse_instance,
     parse_signed_formula,
     parse_solution,
@@ -23,7 +22,7 @@ from .instance_io import (
     write_signed_formula,
     write_solution,
 )
-from .oracle import SetSystem, default_cap, exact_min_hitting_set
+from .oracle import reference_verdict
 from .reductions import (
     GeneratorConfig,
     clique_to_signed3sat,
@@ -47,9 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run the FPT solver on an instance file")
     p_solve.add_argument("instance")
     p_solve.add_argument("--stats", action="store_true", help="print branch statistics to stderr")
-    p_solve.add_argument(
-        "--optimize", action="store_true", help="scan all branches to report the best branch cost"
-    )
 
     p_oracle = sub.add_parser("oracle", help="run the brute-force reference solver")
     p_oracle.add_argument("instance")
@@ -100,7 +96,7 @@ def _emit(text: str, out_path=None) -> None:
 def _cmd_solve(args) -> int:
     inst = parse_instance(_read(args.instance))
     stats = SolveStats()
-    sol = solve(inst, stats=stats, optimize=args.optimize)
+    sol = solve(inst, stats=stats)
     sys.stdout.write(write_solution(sol))
     if args.stats:
         print(
@@ -109,24 +105,15 @@ def _cmd_solve(args) -> int:
             f" branches={stats.branches_enumerated}"
             f" after_filter={stats.branches_after_filter}"
             f" flower_calls={stats.flower_calls}"
-            f" solution_cost={stats.solution_cost}"
-            f" best_cost={stats.best_cost}",
+            f" solution_cost={stats.solution_cost}",
             file=sys.stderr,
         )
     return EXIT_YES if sol.verdict == "YES" else EXIT_NO
 
 
-def _oracle_verdict(inst) -> Solution:
-    system = SetSystem.build(inst.graph.n, [frozenset(p) for p in inst.paths])
-    size, witness = exact_min_hitting_set(system, min(inst.t, default_cap()))
-    if size is None:
-        return Solution("NO")
-    return Solution("YES", witness)
-
-
 def _cmd_oracle(args) -> int:
     inst = parse_instance(_read(args.instance))
-    sol = _oracle_verdict(inst)
+    sol = reference_verdict(inst)
     sys.stdout.write(write_solution(sol))
     return EXIT_YES if sol.verdict == "YES" else EXIT_NO
 
@@ -165,7 +152,7 @@ def _cmd_verify(args) -> int:
     claim = parse_solution(_read(args.solution))
     if claim.verdict == "NO":
         # a NO claim is checked against the exact reference
-        if _oracle_verdict(inst).verdict == "NO":
+        if reference_verdict(inst).verdict == "NO":
             print("verified: NO claim confirmed by the reference solver", file=sys.stderr)
             return EXIT_YES
         print("error: claimed NO but the instance is feasible", file=sys.stderr)

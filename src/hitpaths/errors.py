@@ -17,12 +17,6 @@ class NotAPath(HitPathsError):
     """A component that was required to be an induced path is not one."""
 
 
-class NotATree(HitPathsError):
-    """The given graph is not a tree."""
-
-
-class NotASubtree(HitPathsError):
-    """A target set does not induce a connected subgraph of the tree."""
 
 
 class ClauseTooWide(HitPathsError):
@@ -51,7 +45,3 @@ class TooFewEdges(HitPathsError):
 
 class InfeasibleConfig(HitPathsError):
     """Generator configuration cannot be realized."""
-
-
-class EmptyTargetSet(HitPathsError):
-    """A hitting-set target is empty and therefore unhittable."""

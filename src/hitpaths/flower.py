@@ -20,9 +20,9 @@ from .errors import (
     InvariantViolation,
     ValidationError,
 )
-from .instance_io import Solution
+from .instance_io import Solution, certificate_for
 from .mvsat import GE, LE, SignedFormula, SignedLiteral, solve_tors2sat
-from .treecycle import Interval
+from .treecycle import Interval, distinct_intervals
 
 
 @dataclass(frozen=True)
@@ -128,18 +128,6 @@ def canonical_table(petal_length: int, internal_paths, budget: int) -> list[Opti
     return table
 
 
-def canonical_range(petal_length: int, internal_paths, budget: int) -> Optional[tuple[int, int]]:
-    """Contiguous range [l1, l2] of well-defined indices, or None if empty."""
-    table = canonical_table(petal_length, internal_paths, budget)
-    defined = [ell for ell in range(1, petal_length + 1) if table[ell] is not None]
-    if not defined:
-        return None
-    lo, hi = defined[0], defined[-1]
-    if defined != list(range(lo, hi + 1)):
-        raise ContiguityViolation(f"defined indices {defined} are not contiguous")
-    return lo, hi
-
-
 def fragment_literal(
     petal_index: int, fragment: Interval, petal_length: int, table
 ) -> Optional[SignedLiteral]:
@@ -163,13 +151,13 @@ def fragment_literal(
 
 
 def _classify_paths(inst: FlowerInstance):
-    """Split targets into per-petal internal intervals and core-crossing
+    """Split targets into per-petal internal (lo, hi) spans and core-crossing
     fragment lists; returns (internal, crossing, has_core_singleton)."""
     pos = {}
     for i, p in enumerate(inst.petals):
         for j, v in enumerate(p):
             pos[v] = (i, j + 1)
-    internal: list[list[Interval]] = [[] for _ in inst.petals]
+    internal: list[list[tuple[int, int]]] = [[] for _ in inst.petals]
     crossing: list[list[tuple[int, Interval]]] = []
     core_singleton = False
     for path in inst.paths:
@@ -177,7 +165,7 @@ def _classify_paths(inst: FlowerInstance):
             ps = [pos[v] for v in path]
             i = ps[0][0]
             js = [j for _, j in ps]
-            internal[i].append(Interval(min(js), max(js)))
+            internal[i].append((min(js), max(js)))
             continue
         if len(path) == 1:
             core_singleton = True
@@ -219,9 +207,7 @@ def solve_flower(inst: FlowerInstance) -> Solution:
     clauses: list[tuple[SignedLiteral, ...]] = []
     for i, petal in enumerate(inst.petals):
         # dedupe identical internal intervals; hitting one hits all copies
-        ivs = sorted(set((iv.lo, iv.hi) for iv in internal[i]))
-        ivs = [Interval(lo, hi) for lo, hi in ivs]
-        internal[i] = ivs
+        ivs = distinct_intervals(internal[i])
         table = canonical_table(len(petal), ivs, inst.budgets[i])
         tables.append(table)
         defined = [ell for ell in range(1, len(petal) + 1) if table[ell] is not None]
@@ -265,10 +251,7 @@ def solve_flower(inst: FlowerInstance) -> Solution:
     for i, petal in enumerate(inst.petals):
         if len(chosen.intersection(petal)) != inst.budgets[i]:
             raise InvariantViolation(f"budget violated on petal {i + 1}")
-    cert = []
-    for idx, path in enumerate(inst.paths):
-        hits = sorted(chosen.intersection(path))
-        if not hits:
-            raise InvariantViolation(f"reconstructed solution misses path {idx + 1}")
-        cert.append(hits[0])
-    return Solution("YES", frozenset(chosen), tuple(cert))
+    cert = certificate_for(inst.paths, chosen)
+    if cert is None:
+        raise InvariantViolation("reconstructed solution misses a path")
+    return Solution("YES", frozenset(chosen), cert)

@@ -10,7 +10,7 @@ surviving branch becomes an exact-budget flower instance solved via signed
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .errors import FlowerShapeViolation, InvariantViolation, ValidationError
@@ -23,14 +23,14 @@ from .graph import (
     high_degree_set,
     path_components,
 )
-from .instance_io import (
-    KIND_PATHS,
-    HitPathsInstance,
-    Solution,
-    certificate_for,
-    unhit_targets,
+from .instance_io import KIND_PATHS, HitPathsInstance, Solution, certificate_for
+from .treecycle import (
+    CycleArc,
+    Interval,
+    distinct_intervals,
+    hit_paths_in_cycle,
+    stab_intervals,
 )
-from .treecycle import CycleArc, Interval, hit_paths_in_cycle, stab_intervals
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class PreprocessResult:
     paths: tuple[tuple[int, ...], ...]  # in residual ids
     forced: frozenset[int]  # original ids forced into every solution
     t_remaining: int  # may be negative
+    k: int  # cyclomatic number, the same for the input and the residual
     old_to_new: dict[int, int]
     new_to_old: dict[int, int]
 
@@ -52,7 +53,6 @@ class SolveStats:
     branches_after_filter: int = 0
     flower_calls: int = 0
     solution_cost: Optional[int] = None
-    best_cost: Optional[int] = None
 
 
 class BranchInfeasible:
@@ -82,7 +82,7 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     paths = [list(p) for p in inst.paths]
     forced: set[int] = set()
     t = inst.t
-    k_before = cyclomatic_number(g)
+    k = cyclomatic_number(g)
 
     while True:
         low = sorted(v for v in alive if len(adj[v]) <= 1)
@@ -110,10 +110,12 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
         if u < w
     }
     residual = Graph(len(alive), frozenset(edges))
-    assert cyclomatic_number(residual) == k_before
+    if cyclomatic_number(residual) != k:
+        raise InvariantViolation("preprocessing changed the cyclomatic number")
     new_paths = tuple(tuple(old_to_new[v] for v in p) for p in paths)
-    assert all(p for p in new_paths)
-    return PreprocessResult(residual, new_paths, frozenset(forced), t, old_to_new, new_to_old)
+    if not all(new_paths):
+        raise InvariantViolation("preprocessing emptied a target")
+    return PreprocessResult(residual, new_paths, frozenset(forced), t, k, old_to_new, new_to_old)
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,7 @@ class ComponentData:
     component: PathComponent
     opt: int
     internal: tuple[Interval, ...]  # targets fully inside, as position intervals
+    greedy: frozenset[int]  # positions of an optimum piercing of `internal`
 
 
 def component_budgets(g: Graph, s, paths) -> list[ComponentData]:
@@ -133,14 +136,14 @@ def component_budgets(g: Graph, s, paths) -> list[ComponentData]:
     for comp in comps:
         vset = set(comp.vertices)
         pos = {v: i + 1 for i, v in enumerate(comp.vertices)}
-        ivs = []
+        spans = []
         for p in paths:
             if set(p) <= vset:
                 js = [pos[v] for v in p]
-                ivs.append(Interval(min(js), max(js)))
-        ivs = [Interval(lo, hi) for lo, hi in sorted(set((iv.lo, iv.hi) for iv in ivs))]
-        opt, _ = stab_intervals(len(comp.vertices), ivs)
-        out.append(ComponentData(comp, opt, tuple(ivs)))
+                spans.append((min(js), max(js)))
+        ivs = distinct_intervals(spans)
+        opt, pts = stab_intervals(len(comp.vertices), ivs)
+        out.append(ComponentData(comp, opt, tuple(ivs), pts))
     return out
 
 
@@ -220,40 +223,33 @@ def build_flower_branch(
 def _fill_component(cd: ComponentData, budget: int) -> set[int]:
     """Exactly `budget` vertices of the component hitting all its internal
     targets: the greedy optimum padded with the highest unused positions."""
-    _, pts = stab_intervals(len(cd.component.vertices), cd.internal)
-    positions = set(pts)
+    positions = set(cd.greedy)
     pad = len(cd.component.vertices)
     while len(positions) < budget and pad >= 1:
         positions.add(pad)
         pad -= 1
-    assert len(positions) == budget
+    if len(positions) != budget:
+        raise InvariantViolation(f"component cannot take a budget of {budget}")
     return {cd.component.vertices[p - 1] for p in positions}
 
 
 def _finish(inst: HitPathsInstance, chosen: set[int]) -> Solution:
     if len(chosen) > inst.t:
         raise InvariantViolation("assembled solution exceeds the budget")
-    missed = unhit_targets(inst, chosen)
-    if missed:
-        raise InvariantViolation(f"assembled solution misses target {missed[0] + 1}")
-    return Solution("YES", frozenset(chosen), certificate_for(inst, chosen))
+    cert = certificate_for(inst.paths, chosen)
+    if cert is None:
+        raise InvariantViolation("assembled solution misses a target")
+    return Solution("YES", frozenset(chosen), cert)
 
 
-def solve(
-    inst: HitPathsInstance, stats: Optional[SolveStats] = None, optimize: bool = False
-) -> Solution:
-    """Decide whether some vertex set of size at most t hits every target.
-
-    With optimize=True the branch scan continues past the first success to
-    record the smallest branch cost in the stats; the returned solution is
-    still the one from the first successful branch.
-    """
+def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solution:
+    """Decide whether some vertex set of size at most t hits every target."""
     if inst.kind != KIND_PATHS:
         raise ValidationError("the FPT solver handles path targets only")
     if stats is None:
         stats = SolveStats()
     pre = preprocess(inst)
-    stats.k = cyclomatic_number(inst.graph)
+    stats.k = pre.k
     if pre.graph.n == 0:
         if pre.t_remaining < 0:
             return Solution("NO")
@@ -272,7 +268,6 @@ def solve(
     comps = component_budgets(g, s, paths)
     stats.high_degree = len(s)
     stats.components = len(comps)
-    k = cyclomatic_number(g)
 
     total_opt = sum(cd.opt for cd in comps)
     nc = len(comps)
@@ -283,7 +278,6 @@ def solve(
             must_opt_mask |= 1 << ci
     core_id = g.n + 1
 
-    first: Optional[Solution] = None
     for s_mask in range(1 << len(s)):
         s_prime = {s[i] for i in range(len(s)) if s_mask >> i & 1}
         base_cost = len(s_prime) + total_opt + nc
@@ -314,22 +308,18 @@ def solve(
                 if fsol.verdict != "YES":
                     continue
                 chosen_new = set(s_prime) | set(fsol.chosen)
-            if first is None:
-                stats.solution_cost = cost
-                stats.best_cost = cost
-                chosen = set(pre.forced) | {pre.new_to_old[v] for v in chosen_new}
-                first = _finish(inst, chosen)
-                if not optimize:
-                    _check_branch_bound(stats, k)
-                    return first
-            elif stats.best_cost is None or cost < stats.best_cost:
-                stats.best_cost = cost
-    _check_branch_bound(stats, k)
-    return first if first is not None else Solution("NO")
+            stats.solution_cost = cost
+            chosen = set(pre.forced) | {pre.new_to_old[v] for v in chosen_new}
+            sol = _finish(inst, chosen)
+            _check_branch_bound(stats, pre.k)
+            return sol
+    _check_branch_bound(stats, pre.k)
+    return Solution("NO")
 
 
 def _check_branch_bound(stats: SolveStats, k: int) -> None:
-    assert stats.branches_enumerated <= 2 ** (2 * k) * 2 ** (3 * k)
+    if stats.branches_enumerated > 2 ** (2 * k) * 2 ** (3 * k):
+        raise InvariantViolation("branch count exceeds the 2^(5k) bound")
 
 
 def _solve_cycle(inst, pre: PreprocessResult, g: Graph, paths) -> Solution:
@@ -370,5 +360,6 @@ def _positions_to_arc(ps: list[int], length: int) -> CycleArc:
     lo = ps[(big + 1) % len(ps)]
     hi = ps[big]
     arc = CycleArc(lo, hi)
-    assert arc.length(length) == len(ps)
+    if arc.length(length) != len(ps):
+        raise InvariantViolation(f"positions {ps} do not form an arc of the cycle")
     return arc

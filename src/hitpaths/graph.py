@@ -2,8 +2,8 @@
 
 Provides the structural measures and rewriting operations the solvers rely
 on: cyclomatic number, the set of high-degree vertices, the decomposition of
-a graph minus its high-degree vertices into path components, vertex
-identification, and deterministic bridging of disconnected inputs.
+a graph minus its high-degree vertices into path components, and
+deterministic bridging of disconnected inputs.
 """
 
 from __future__ import annotations
@@ -55,12 +55,14 @@ class Graph:
         e = (u, v) if u < v else (v, u)
         return e in self.edges
 
-    def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists, ordered by smallest id."""
+    def components(self, vs: Optional[Iterable[int]] = None) -> list[list[int]]:
+        """Connected components of the subgraph induced by vs (default: all
+        vertices) as sorted vertex lists, ordered by smallest id."""
         adj = self.adjacency()
+        inside = set(self.vertices() if vs is None else vs)
         seen: set[int] = set()
         comps = []
-        for start in self.vertices():
+        for start in sorted(inside):
             if start in seen:
                 continue
             stack = [start]
@@ -70,7 +72,7 @@ class Graph:
                 v = stack.pop()
                 comp.append(v)
                 for w in adj[v]:
-                    if w not in seen:
+                    if w in inside and w not in seen:
                         seen.add(w)
                         stack.append(w)
             comps.append(sorted(comp))
@@ -124,21 +126,8 @@ def path_components(g: Graph, s: set[int]) -> list[PathComponent]:
     rest = [v for v in g.vertices() if v not in s]
     sub_adj = {v: sorted(w for w in adj[v] if w not in s) for v in rest}
 
-    seen: set[int] = set()
     comps: list[PathComponent] = []
-    for start in rest:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in sub_adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+    for comp in g.components(rest):
         n_edges = sum(len(sub_adj[v]) for v in comp) // 2
         if n_edges != len(comp) - 1 or any(len(sub_adj[v]) > 2 for v in comp):
             raise NotAPath(f"component containing {min(comp)} is not an induced path")
@@ -167,33 +156,7 @@ def path_components(g: Graph, s: set[int]) -> list[PathComponent]:
                     right_nbrs[0] if right_nbrs else None,
                 )
             )
-    comps.sort(key=lambda c: min(c.vertices))
     return comps
-
-
-def identify_vertices(g: Graph, target: set[int]) -> tuple[Graph, dict[int, int]]:
-    """Collapse all of target into one fresh vertex adjacent to N(target).
-
-    Remaining vertices are relabeled densely in ascending order; the fresh
-    vertex gets the highest new id. Parallel edges collapse and self-loops
-    vanish, keeping the result simple. Returns the old->new map (members of
-    target all map to the fresh vertex).
-    """
-    if not target:
-        raise ValidationError("target must be nonempty")
-    if any(not (1 <= v <= g.n) for v in target):
-        raise ValidationError("target vertex out of range")
-    remaining = [v for v in g.vertices() if v not in target]
-    mapping = {v: i + 1 for i, v in enumerate(remaining)}
-    z = len(remaining) + 1
-    for v in target:
-        mapping[v] = z
-    new_edges = set()
-    for u, v in g.edges:
-        mu, mv = mapping[u], mapping[v]
-        if mu != mv:
-            new_edges.add((mu, mv) if mu < mv else (mv, mu))
-    return Graph(z, frozenset(new_edges)), mapping
 
 
 def connect_components(g: Graph) -> Graph:

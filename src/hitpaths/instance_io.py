@@ -65,24 +65,10 @@ def make_instance(graph: Graph, paths, t: int, kind: str = KIND_PATHS) -> HitPat
                 raise ValidationError(f"target {idx + 1} is not a nonempty vertex set")
             if any(not (1 <= v <= graph.n) for v in seq):
                 raise ValidationError(f"target {idx + 1} has a vertex out of range")
-            if not _induces_connected(graph, set(seq)):
+            if len(graph.components(seq)) != 1:
                 raise ValidationError(f"target {idx + 1} does not induce a connected subgraph")
         frozen.append(seq)
     return HitPathsInstance(graph, tuple(frozen), t, kind)
-
-
-def _induces_connected(g: Graph, vs: set[int]) -> bool:
-    adj = g.adjacency()
-    start = next(iter(vs))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vs
 
 
 def unhit_targets(inst: HitPathsInstance, chosen) -> list[int]:
@@ -91,15 +77,15 @@ def unhit_targets(inst: HitPathsInstance, chosen) -> list[int]:
     return [i for i, p in enumerate(inst.paths) if not cs.intersection(p)]
 
 
-def certificate_for(inst: HitPathsInstance, chosen) -> tuple[int, ...]:
-    """For each target, the smallest chosen vertex on it."""
+def certificate_for(paths, chosen) -> Optional[tuple[int, ...]]:
+    """For each target, the smallest chosen vertex on it; None if one is missed."""
     cs = set(chosen)
     cert = []
-    for i, p in enumerate(inst.paths):
-        hits = sorted(cs.intersection(p))
+    for p in paths:
+        hits = cs.intersection(p)
         if not hits:
-            raise ValidationError(f"target {i + 1} is not hit")
-        cert.append(hits[0])
+            return None
+        cert.append(min(hits))
     return tuple(cert)
 
 

@@ -208,24 +208,18 @@ def enumerate_signed(f: SignedFormula, cap: int = 10**8) -> Optional[tuple[int, 
     for clause in f.clauses:
         by_maxvar[max(lit.var for lit in clause)].append(clause)
 
-    values = [0] * n
-
-    def extend(depth: int) -> bool:
+    values = [0] * n  # 0 marks an unassigned variable
+    depth = 0
+    while depth >= 0:
         if depth == n:
-            return True
-        for val in range(1, nvals + 1):
-            values[depth] = val
-            if all(
-                any(lit.holds(values[lit.var - 1]) for lit in clause)
-                for clause in by_maxvar[depth + 1]
-            ):
-                if extend(depth + 1):
-                    return True
-        values[depth] = 0
-        return False
-
-    if n == 0:
-        return ()  # nonempty clauses are impossible without variables
-    if extend(0):
-        return tuple(values)
+            return tuple(values)
+        values[depth] += 1
+        if values[depth] > nvals:
+            values[depth] = 0
+            depth -= 1
+        elif all(
+            any(lit.holds(values[lit.var - 1]) for lit in clause)
+            for clause in by_maxvar[depth + 1]
+        ):
+            depth += 1
     return None

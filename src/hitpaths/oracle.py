@@ -16,7 +16,7 @@ from typing import Optional
 from .errors import CapExceeded, ValidationError
 from .flower import FlowerInstance
 from .graph import Graph
-from .instance_io import Solution
+from .instance_io import Solution, certificate_for
 
 
 def default_cap() -> int:
@@ -44,31 +44,44 @@ def exact_min_hitting_set(
 
     Bounded search tree: take the first unhit set, branch on its elements in
     ascending order, prune at the best size found so far. An empty target
-    set is unhittable, so its presence reports the cap as exceeded.
+    set is unhittable, so its presence reports the cap as exceeded. Raises
+    CapExceeded when the search visits more than default_cap() nodes.
     """
     if cap < 0:
         raise ValidationError("cap must be nonnegative")
     if any(not s for s in sys.sets):
         return None, None
     sets = [sorted(s) for s in sys.sets]
-    best: list = [None, None]  # size, witness
-
-    def dfs(chosen: set[int]) -> None:
-        target = next((s for s in sets if not chosen.intersection(s)), None)
+    node_cap = default_cap()
+    best_size: Optional[int] = None
+    best: Optional[frozenset[int]] = None
+    chosen: list[int] = []  # branch vertices from the root to the current node
+    members: set[int] = set()
+    stack: list = []  # per node on the current root path: its untried branches
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > node_cap:
+            raise CapExceeded(f"hitting-set search exceeds {node_cap} nodes")
+        target = next((s for s in sets if members.isdisjoint(s)), None)
         if target is None:
-            if best[0] is None or len(chosen) < best[0]:
-                best[0], best[1] = len(chosen), frozenset(chosen)
-            return
-        bound = cap if best[0] is None else min(cap, best[0] - 1)
-        if len(chosen) >= bound:
-            return
-        for v in target:
-            chosen.add(v)
-            dfs(chosen)
-            chosen.discard(v)
-
-    dfs(set())
-    return best[0], best[1]
+            if best_size is None or len(chosen) < best_size:
+                best_size, best = len(chosen), frozenset(chosen)
+            target = []
+        elif len(chosen) >= (cap if best_size is None else min(cap, best_size - 1)):
+            target = []
+        stack.append(iter(target))
+        v = None
+        while stack and v is None:
+            if len(chosen) == len(stack):  # undo the sibling explored last
+                members.discard(chosen.pop())
+            v = next(stack[-1], None)
+            if v is None:
+                stack.pop()
+        if v is None:
+            return best_size, best
+        chosen.append(v)
+        members.add(v)
 
 
 def flower_bruteforce(inst: FlowerInstance, cap: Optional[int] = None) -> Solution:
@@ -88,15 +101,9 @@ def flower_bruteforce(inst: FlowerInstance, cap: Optional[int] = None) -> Soluti
     ]
     for combo in itertools.product(*pools):
         chosen = frozenset(v for part in combo for v in part)
-        cert = []
-        for path in inst.paths:
-            hits = sorted(chosen.intersection(path))
-            if not hits:
-                cert = None
-                break
-            cert.append(hits[0])
+        cert = certificate_for(inst.paths, chosen)
         if cert is not None:
-            return Solution("YES", chosen, tuple(cert))
+            return Solution("YES", chosen, cert)
     return Solution("NO")
 
 
@@ -108,3 +115,13 @@ def has_k_clique(g: Graph, k: int) -> tuple[bool, Optional[tuple[int, ...]]]:
         if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
             return True, combo
     return False, None
+
+
+def reference_verdict(inst) -> Solution:
+    """Verdict of the exact hitting-set search on an instance's targets
+    within budget t; the witness is a minimum hitting set."""
+    system = SetSystem.build(inst.graph.n, [frozenset(p) for p in inst.paths])
+    size, witness = exact_min_hitting_set(system, inst.t)
+    if size is None:
+        return Solution("NO")
+    return Solution("YES", witness)

@@ -13,7 +13,13 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import ClauseTooWide, InfeasibleConfig, TooFewEdges, ValidationError
+from .errors import (
+    ClauseTooWide,
+    InfeasibleConfig,
+    InvariantViolation,
+    TooFewEdges,
+    ValidationError,
+)
 from .graph import Graph
 from .instance_io import KIND_PATHS, KIND_SUBGRAPHS, HitPathsInstance, make_instance
 from .mvsat import GE, LE, SignedFormula, SignedLiteral
@@ -234,7 +240,8 @@ def gen_random_instance(cfg: GeneratorConfig) -> HitPathsInstance:
     else:
         system = SetSystem.build(cfg.n, [frozenset(p) for p in paths])
         opt, _ = exact_min_hitting_set(system, cfg.n)
-        assert opt is not None
+        if opt is None:
+            raise InvariantViolation("generated targets admit no hitting set")
         if cfg.t_policy == "opt":
             t = opt
         elif cfg.t_policy == "opt-1":

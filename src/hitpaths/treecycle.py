@@ -1,8 +1,7 @@
-"""Polynomial-time exact hitting subroutines on paths, trees, and cycles.
+"""Polynomial-time exact hitting subroutines on paths and cycles.
 
 stab_intervals is the classic earliest-right-endpoint greedy for piercing
-intervals on a line; hit_subtrees_in_tree is the deepest-vertex greedy for
-subtrees of a tree; hit_paths_in_cycle tries every cycle vertex and solves
+intervals on a line; hit_paths_in_cycle tries every cycle vertex and solves
 the remaining open path greedily.
 """
 
@@ -10,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotASubtree, NotATree, ValidationError
-from .graph import Graph, cyclomatic_number
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -48,6 +46,11 @@ class CycleArc:
         return cycle_length - self.lo + 1 + self.hi
 
 
+def distinct_intervals(spans) -> list[Interval]:
+    """Intervals for (lo, hi) pairs, duplicates dropped, sorted by (lo, hi)."""
+    return [Interval(lo, hi) for lo, hi in sorted(set(spans))]
+
+
 def stab_intervals(length: int, intervals) -> tuple[int, frozenset[int]]:
     """Minimum set of positions meeting every interval; greedy by right end."""
     for iv in intervals:
@@ -60,62 +63,6 @@ def stab_intervals(length: int, intervals) -> tuple[int, frozenset[int]]:
             picked.append(iv.hi)
             last = iv.hi
     return len(picked), frozenset(picked)
-
-
-def hit_subtrees_in_tree(tree: Graph, subtrees) -> frozenset[int]:
-    """Minimum vertex set meeting every target subtree of the tree.
-
-    Roots the tree at its lowest-id leaf, then repeatedly picks the deepest
-    vertex whose rooted subtree fully contains some unhit target (ties on
-    depth broken by smaller id). That vertex is the shallowest member of the
-    target, so picking it is always safe.
-    """
-    adj = tree.adjacency()
-    if tree.n == 0:
-        raise NotATree("empty graph")
-    if tree.m != tree.n - 1 or len(tree.components()) != 1:
-        raise NotATree("graph is not connected and acyclic")
-    targets = []
-    for i, s in enumerate(subtrees):
-        vs = set(s)
-        if not vs or any(not (1 <= v <= tree.n) for v in vs):
-            raise NotASubtree(f"target {i + 1} is empty or out of range")
-        if not _connected_in(adj, vs):
-            raise NotASubtree(f"target {i + 1} does not induce a subtree")
-        targets.append(vs)
-
-    leaves = [v for v in tree.vertices() if len(adj[v]) <= 1]
-    root = min(leaves)
-    depth = {root: 0}
-    order = [root]
-    for v in order:
-        for w in adj[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                order.append(w)
-
-    chosen: set[int] = set()
-    unhit = list(range(len(targets)))
-    # shallowest member of a connected target is unique and lies inside it
-    anchor = [min(t, key=lambda v: (depth[v], v)) for t in targets]
-    while unhit:
-        pick = max((anchor[i] for i in unhit), key=lambda v: (depth[v], -v))
-        chosen.add(pick)
-        unhit = [i for i in unhit if pick not in targets[i]]
-    return frozenset(chosen)
-
-
-def _connected_in(adj: dict[int, set[int]], vs: set[int]) -> bool:
-    start = next(iter(vs))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w in vs and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vs
 
 
 def hit_paths_in_cycle(cycle_length: int, arcs) -> tuple[int, frozenset[int]]:

@@ -103,3 +103,12 @@ def test_bench_agreement_small(capsys):
 
 def test_unknown_verb_exits_2(capsys):
     assert run(["frobnicate"]) == 2
+
+
+def test_no_claim_check_respects_the_work_cap(tmp_path, capsys, monkeypatch):
+    inst = write(tmp_path, "no.hp", INFEASIBLE)
+    claim = write(tmp_path, "no.sol", "s -1\n")
+    monkeypatch.setenv("HITPATHS_CAP", "1")
+    assert run(["verify", inst, claim]) == 2
+    assert run(["oracle", inst]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from hitpaths import (
     Interval,
     SignedLiteral,
     ValidationError,
-    canonical_range,
     canonical_solution,
     canonical_table,
     fragment_literal,
@@ -22,16 +21,20 @@ from conftest import random_flower
 PETAL = [Interval(2, 3), Interval(5, 5)]  # on a petal of length 5, budget 2
 
 
+def defined_indices(table):
+    return [ell for ell in range(1, len(table)) if table[ell] is not None]
+
+
 def test_canonical_solution_worked_example():
     assert canonical_solution(5, PETAL, 2, 2) == frozenset({2, 5})
     assert canonical_solution(5, PETAL, 2, 1) is None  # builds {1,3,5}, too big
     assert canonical_solution(5, PETAL, 2, 4) is None  # interval [2,3] left behind
-    assert canonical_range(5, PETAL, 2) == (2, 3)
+    assert defined_indices(canonical_table(5, PETAL, 2)) == [2, 3]
 
 
 def test_canonical_range_trivia():
-    assert canonical_range(4, [], 1) == (1, 4)
-    assert canonical_range(4, [], 5) is None
+    assert defined_indices(canonical_table(4, [], 1)) == [1, 2, 3, 4]
+    assert defined_indices(canonical_table(4, [], 5)) == []
     with pytest.raises(ValidationError):
         canonical_solution(4, [], 1, 5)
 

@@ -4,6 +4,7 @@ import pytest
 
 from hitpaths import (
     Graph,
+    InvariantViolation,
     SolveStats,
     ValidationError,
     cyclomatic_number,
@@ -14,6 +15,7 @@ from hitpaths import (
 from hitpaths.fpt import (
     BranchInfeasible,
     DirectVerdict,
+    _positions_to_arc,
     build_flower_branch,
     component_budgets,
 )
@@ -140,14 +142,6 @@ def test_solve_disconnected_graph():
     assert solve(make_instance(g, [(1, 2), (4, 5)], 1)).verdict == "NO"
 
 
-def test_optimize_reports_best_cost():
-    inst = make_instance(C4_CHORD, [(2,), (4,), (1, 3)], 4)
-    stats = SolveStats()
-    sol = solve(inst, stats=stats, optimize=True)
-    check_yes(inst, sol)
-    assert stats.best_cost is not None and stats.best_cost <= stats.solution_cost
-
-
 def test_solver_matches_oracle_random():
     rng = random.Random(61)
     for seed in range(150):
@@ -196,3 +190,9 @@ def test_preprocess_preserves_oracle_verdict():
         size, _ = exact_min_hitting_set(system, pre.t_remaining)
         after = "YES" if size is not None else "NO"
         assert before == after
+
+
+def test_positions_to_arc_rejects_gapped_positions():
+    assert _positions_to_arc([4, 5, 1], 5).length(5) == 3
+    with pytest.raises(InvariantViolation):
+        _positions_to_arc([1, 3], 5)

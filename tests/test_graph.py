@@ -7,7 +7,6 @@ from hitpaths import (
     connect_components,
     cyclomatic_number,
     high_degree_set,
-    identify_vertices,
     is_simple_path,
     path_components,
 )
@@ -69,37 +68,6 @@ def test_path_components_rejects_branching():
     star = Graph.build(4, [(1, 2), (1, 3), (1, 4)])
     with pytest.raises(NotAPath):
         path_components(star, set())
-
-
-def test_identify_triangle_pair():
-    tri = Graph.build(3, [(1, 2), (2, 3), (1, 3)])
-    g2, mapping = identify_vertices(tri, {1, 2})
-    assert g2.n == 2 and g2.edges == frozenset({(1, 2)})
-    assert mapping[1] == mapping[2] == 2 and mapping[3] == 1
-
-
-def test_identify_path_ends_gives_triangle():
-    p4 = Graph.build(4, [(1, 2), (2, 3), (3, 4)])
-    g2, mapping = identify_vertices(p4, {1, 4})
-    assert g2.n == 3 and cyclomatic_number(g2) == 1
-    z = mapping[1]
-    assert mapping[4] == z == 3
-
-
-def test_identify_everything():
-    tri = Graph.build(3, [(1, 2), (2, 3), (1, 3)])
-    g2, _ = identify_vertices(tri, {1, 2, 3})
-    assert g2.n == 1 and g2.m == 0
-
-
-def test_identify_preserves_neighbors():
-    g = Graph.build(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 5)])
-    target = {2, 5}
-    g2, mapping = identify_vertices(g, target)
-    z = mapping[2]
-    adj = g.adjacency()
-    expected = {mapping[w] for v in target for w in adj[v] if w not in target}
-    assert g2.adjacency()[z] == expected
 
 
 def test_connect_components_preserves_k():

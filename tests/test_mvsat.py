@@ -163,3 +163,7 @@ def test_tors2sat_agrees_with_enumeration():
         assert (fast is None) == (slow is None)
         if fast is not None:
             assert satisfies(f, fast)
+
+
+def test_enumerate_has_no_depth_limit():
+    assert enumerate_signed(SignedFormula(3000, 1, ())) == (1,) * 3000

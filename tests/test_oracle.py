@@ -82,3 +82,17 @@ def test_has_k_clique_random_consistency():
         if found:
             a, b, c = witness
             assert g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)
+
+
+def test_hitting_set_search_has_no_depth_limit():
+    singletons = SetSystem.build(1200, [{v} for v in range(1, 1201)])
+    size, witness = exact_min_hitting_set(singletons, 1200)
+    assert size == 1200 and witness == frozenset(range(1, 1201))
+
+
+def test_hitting_set_search_respects_node_cap(monkeypatch):
+    pairs = SetSystem.build(12, [{2 * i - 1, 2 * i} for i in range(1, 7)])
+    assert exact_min_hitting_set(pairs, 6)[0] == 6
+    monkeypatch.setenv("HITPATHS_CAP", "20")
+    with pytest.raises(CapExceeded):
+        exact_min_hitting_set(pairs, 6)

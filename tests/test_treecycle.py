@@ -5,13 +5,9 @@ import pytest
 
 from hitpaths import (
     CycleArc,
-    Graph,
     Interval,
-    NotASubtree,
-    NotATree,
     ValidationError,
     hit_paths_in_cycle,
-    hit_subtrees_in_tree,
     stab_intervals,
 )
 
@@ -45,52 +41,6 @@ def test_stab_matches_bruteforce_exhaustive():
         size, pts = stab_intervals(length, ivs)
         assert size == brute_stab(length, ivs)
         assert all(any(iv.contains(p) for p in pts) for iv in ivs)
-
-
-def test_tree_greedy_examples():
-    star = Graph.build(3, [(1, 2), (1, 3)])
-    assert hit_subtrees_in_tree(star, [{1, 2}, {1, 3}]) == frozenset({1})
-    path = Graph.build(3, [(1, 2), (2, 3)])
-    assert hit_subtrees_in_tree(path, [{1}, {3}]) == frozenset({1, 3})
-    assert hit_subtrees_in_tree(path, []) == frozenset()
-
-
-def test_tree_greedy_errors():
-    with pytest.raises(NotATree):
-        hit_subtrees_in_tree(Graph.build(3, [(1, 2), (2, 3), (1, 3)]), [])
-    with pytest.raises(NotATree):
-        hit_subtrees_in_tree(Graph.build(4, [(1, 2), (3, 4)]), [])
-    path = Graph.build(3, [(1, 2), (2, 3)])
-    with pytest.raises(NotASubtree):
-        hit_subtrees_in_tree(path, [{1, 3}])
-    with pytest.raises(NotASubtree):
-        hit_subtrees_in_tree(path, [set()])
-
-
-def random_tree(rng, n):
-    return Graph.build(n, [(rng.randint(1, v - 1), v) for v in range(2, n + 1)])
-
-
-def random_subtree(rng, tree, adj):
-    vs = {rng.randint(1, tree.n)}
-    for _ in range(rng.randint(0, tree.n - 1)):
-        frontier = sorted({w for v in vs for w in adj[v]} - vs)
-        if not frontier:
-            break
-        vs.add(rng.choice(frontier))
-    return vs
-
-
-def test_tree_greedy_matches_bruteforce_random():
-    rng = random.Random(11)
-    for _ in range(300):
-        n = rng.randint(2, 9)
-        tree = random_tree(rng, n)
-        adj = tree.adjacency()
-        targets = [random_subtree(rng, tree, adj) for _ in range(rng.randint(0, 6))]
-        got = hit_subtrees_in_tree(tree, targets)
-        assert all(got & t for t in targets)
-        assert len(got) == brute_min_hitting(n, targets)
 
 
 def test_cycle_examples():
