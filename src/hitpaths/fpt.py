@@ -10,6 +10,7 @@ surviving branch becomes an exact-budget flower instance solved via signed
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -73,46 +74,66 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     A vertex demanded by a singleton target is forced into the solution and
     the budget drops by one; any other low-degree vertex can be skipped, so
     it is deleted and shaved off the ends of the targets containing it.
+
+    Vertices are peeled smallest id first from a heap of the live vertices
+    of degree <= 1 (Batagelj-Zaversnik peeling, with a heap for the order),
+    and each target is trimmed by moving its end pointers, so the whole
+    pass takes O((n + m) log n + sum of target lengths).
     """
     if inst.kind != KIND_PATHS:
         raise ValidationError("preprocessing applies to path instances only")
     g = inst.graph
     adj = {v: set(ns) for v, ns in g.adjacency().items()}
-    alive = set(g.vertices())
-    paths = [list(p) for p in inst.paths]
+    paths = inst.paths
+    lo = [0] * len(paths)
+    hi = [len(p) for p in paths]
+    live = [True] * len(paths)
+    through: dict[int, list[int]] = {}  # vertex -> ids of the targets on it
+    for i, p in enumerate(paths):
+        for v in p:
+            through.setdefault(v, []).append(i)
     forced: set[int] = set()
     t = inst.t
     k = cyclomatic_number(g)
 
-    while True:
-        low = sorted(v for v in alive if len(adj[v]) <= 1)
-        if not low:
-            break
-        v = low[0]
-        if any(p == [v] for p in paths):
+    low = [v for v in g.vertices() if len(adj[v]) <= 1]
+    heapq.heapify(low)
+    while low:
+        v = heapq.heappop(low)
+        ids = [i for i in through.get(v, ()) if live[i]]
+        if any(hi[i] - lo[i] == 1 for i in ids):
             forced.add(v)
             t -= 1
-            paths = [p for p in paths if v not in p]
+            for i in ids:
+                live[i] = False
         else:
             # v has degree <= 1, so it can only sit at the end of a target
-            paths = [[u for u in p if u != v] for p in paths]
-        for w in adj[v]:
+            for i in ids:
+                if paths[i][lo[i]] == v:
+                    lo[i] += 1
+                elif paths[i][hi[i] - 1] == v:
+                    hi[i] -= 1
+                else:
+                    raise InvariantViolation("preprocessing peeled an inner target vertex")
+        for w in adj.pop(v):
             adj[w].discard(v)
-        del adj[v]
-        alive.discard(v)
+            if len(adj[w]) == 1:
+                heapq.heappush(low, w)
 
-    old_to_new = {v: i + 1 for i, v in enumerate(sorted(alive))}
+    old_to_new = {v: i + 1 for i, v in enumerate(sorted(adj))}
     new_to_old = {i: v for v, i in old_to_new.items()}
     edges = {
         (min(old_to_new[u], old_to_new[w]), max(old_to_new[u], old_to_new[w]))
-        for u in alive
-        for w in adj[u]
+        for u, ws in adj.items()
+        for w in ws
         if u < w
     }
-    residual = Graph(len(alive), frozenset(edges))
+    residual = Graph(len(adj), frozenset(edges))
     if cyclomatic_number(residual) != k:
         raise InvariantViolation("preprocessing changed the cyclomatic number")
-    new_paths = tuple(tuple(old_to_new[v] for v in p) for p in paths)
+    new_paths = tuple(
+        tuple(old_to_new[v] for v in p[lo[i] : hi[i]]) for i, p in enumerate(paths) if live[i]
+    )
     if not all(new_paths):
         raise InvariantViolation("preprocessing emptied a target")
     return PreprocessResult(residual, new_paths, frozenset(forced), t, k, old_to_new, new_to_old)
@@ -132,16 +153,19 @@ def component_budgets(g: Graph, s, paths) -> list[ComponentData]:
     Budget candidates for the branching step are {opt, opt + 1}.
     """
     comps = path_components(g, set(s))
+    where = {}  # vertex -> (component index, 1-based position)
+    for ci, comp in enumerate(comps):
+        for j, v in enumerate(comp.vertices, 1):
+            where[v] = (ci, j)
+    spans: list[list[tuple[int, int]]] = [[] for _ in comps]
+    for p in paths:
+        cells = [where.get(v) for v in p]
+        if None not in cells and len({ci for ci, _ in cells}) == 1:
+            js = [j for _, j in cells]
+            spans[cells[0][0]].append((min(js), max(js)))
     out = []
-    for comp in comps:
-        vset = set(comp.vertices)
-        pos = {v: i + 1 for i, v in enumerate(comp.vertices)}
-        spans = []
-        for p in paths:
-            if set(p) <= vset:
-                js = [pos[v] for v in p]
-                spans.append((min(js), max(js)))
-        ivs = distinct_intervals(spans)
+    for comp, comp_spans in zip(comps, spans):
+        ivs = distinct_intervals(comp_spans)
         opt, pts = stab_intervals(len(comp.vertices), ivs)
         out.append(ComponentData(comp, opt, tuple(ivs), pts))
     return out

@@ -45,10 +45,15 @@ class Graph:
         return range(1, self.n + 1)
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertices()}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
+        """Neighbour sets, built once per graph and shared by every caller,
+        so no caller may mutate them."""
+        adj = self.__dict__.get("_adjacency")
+        if adj is None:
+            adj = {v: set() for v in self.vertices()}
+            for u, v in self.edges:
+                adj[u].add(v)
+                adj[v].add(u)
+            object.__setattr__(self, "_adjacency", adj)
         return adj
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -9,12 +10,15 @@ from hitpaths import (
     ValidationError,
     cyclomatic_number,
     make_instance,
+    parse_instance,
     preprocess,
     solve,
 )
+from hitpaths.bench import scaling_instance
 from hitpaths.fpt import (
     BranchInfeasible,
     DirectVerdict,
+    PreprocessResult,
     _positions_to_arc,
     build_flower_branch,
     component_budgets,
@@ -196,3 +200,149 @@ def test_positions_to_arc_rejects_gapped_positions():
     assert _positions_to_arc([4, 5, 1], 5).length(5) == 3
     with pytest.raises(InvariantViolation):
         _positions_to_arc([1, 3], 5)
+
+
+def quadratic_preprocess(inst):
+    """The earlier preprocess, kept as the reference for the peel order: on
+    every step it re-sorts the live vertices and rewrites every target."""
+    g = inst.graph
+    adj = {v: set(ns) for v, ns in g.adjacency().items()}
+    alive = set(g.vertices())
+    paths = [list(p) for p in inst.paths]
+    forced = set()
+    t = inst.t
+    while True:
+        low = sorted(v for v in alive if len(adj[v]) <= 1)
+        if not low:
+            break
+        v = low[0]
+        if any(p == [v] for p in paths):
+            forced.add(v)
+            t -= 1
+            paths = [p for p in paths if v not in p]
+        else:
+            paths = [[u for u in p if u != v] for p in paths]
+        for w in adj[v]:
+            adj[w].discard(v)
+        del adj[v]
+        alive.discard(v)
+    old_to_new = {v: i + 1 for i, v in enumerate(sorted(alive))}
+    new_to_old = {i: v for v, i in old_to_new.items()}
+    edges = {
+        (min(old_to_new[u], old_to_new[w]), max(old_to_new[u], old_to_new[w]))
+        for u in alive
+        for w in adj[u]
+        if u < w
+    }
+    new_paths = tuple(tuple(old_to_new[v] for v in p) for p in paths)
+    return PreprocessResult(
+        Graph(len(alive), frozenset(edges)), new_paths, frozenset(forced), t,
+        cyclomatic_number(g), old_to_new, new_to_old,
+    )
+
+
+def random_peel_instance(rng):
+    """Small path instance: a random forest (edgeless or disconnected at
+    times) plus a few extra edges and pendant chains, with random-walk
+    targets that include singletons, duplicates and chain-end targets."""
+    n = rng.randint(1, 14)
+    edges = set()
+    p_tree = rng.choice([0.0, 0.5, 0.9, 1.0])
+    for v in range(2, n + 1):
+        if rng.random() < p_tree:
+            edges.add((rng.randint(1, v - 1), v))
+    for _ in range(rng.randint(0, 3)):
+        if n >= 2:
+            u, v = sorted(rng.sample(range(1, n + 1), 2))
+            edges.add((u, v))
+    chains = []
+    for _ in range(rng.randint(0, 2)):
+        length = rng.randint(1, 4)
+        chain = list(range(n + 1, n + length + 1))
+        n += length
+        edges.add((rng.randint(1, chain[0] - 1), chain[0]))
+        edges.update(zip(chain, chain[1:]))
+        chains.append(chain)
+    g = Graph.build(n, edges)
+    adj = g.adjacency()
+    targets = []
+    for _ in range(rng.randint(0, 8)):
+        walk = [rng.randint(1, n)]
+        goal = rng.randint(1, 5)
+        while len(walk) < goal:
+            options = sorted(adj[walk[-1]] - set(walk))
+            if not options:
+                break
+            walk.append(rng.choice(options))
+        targets.append(tuple(walk))
+    for chain in chains:
+        # the far end of a pendant chain, alone or with its neighbour
+        targets.append(tuple(chain[-2:][:: rng.choice([1, -1])]))
+    if targets:
+        targets += rng.choices(targets, k=rng.randint(0, 2))
+    rng.shuffle(targets)
+    return make_instance(g, targets, rng.randint(0, n))
+
+
+def test_preprocess_matches_quadratic_reference():
+    rng = random.Random(71)
+    forced_by_trimming = 0
+    for _ in range(1200):
+        inst = random_peel_instance(rng)
+        got = preprocess(inst)
+        assert got == quadratic_preprocess(inst)
+        singletons = {p[0] for p in inst.paths if len(p) == 1}
+        forced_by_trimming += bool(got.forced - singletons)
+    # the peel order decides which vertex a trimmed target forces
+    assert forced_by_trimming > 300
+
+
+def test_preprocess_peels_smallest_id_first():
+    # on a lone edge, the smaller end is peeled first and shaves the target
+    # down to the other end, which is then forced
+    g = Graph.build(2, [(1, 2)])
+    for target in ((1, 2), (2, 1)):
+        pre = preprocess(make_instance(g, [target], 1))
+        assert pre.forced == frozenset({2}) and pre.paths == ()
+    # star around 2: once 1 and 3 are gone, the centre 2 (degree 1) comes
+    # before the leaf 4, so (4, 2) shrinks to (4) and 4 is forced
+    inst = make_instance(Graph.build(4, [(1, 2), (2, 3), (2, 4)]), [(4, 2), (1, 2, 3), (3,)], 2)
+    pre = preprocess(inst)
+    assert pre == quadratic_preprocess(inst)
+    assert pre.forced == frozenset({3, 4}) and pre.t_remaining == 0
+
+
+def test_edgeless_instance_does_not_hang():
+    t0 = time.perf_counter()
+    sol = solve(parse_instance("p hitpaths 20000 0 0 0\n"))
+    assert sol.verdict == "YES" and sol.chosen == frozenset()
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_long_pendant_chain_with_far_singleton():
+    chain = 10**4
+    edges = [(1, 2), (2, 3), (1, 3), (3, 4)] + [(v, v + 1) for v in range(4, chain + 3)]
+    g = Graph.build(chain + 3, edges)
+    inst = make_instance(g, [(chain + 3,), (1, 2)], 2)
+    t0 = time.perf_counter()
+    pre = preprocess(inst)
+    sol = solve(inst)
+    assert time.perf_counter() - t0 < 2.0
+    assert pre.forced == frozenset({chain + 3}) and pre.graph.n == 3
+    check_yes(inst, sol)
+    assert chain + 3 in sol.chosen
+
+
+def test_solve_leaves_adjacency_untouched():
+    insts = [scaling_instance(3), make_instance(C4_CHORD, [(2,), (4,), (1, 3)], 3)]
+    rng = random.Random(73)
+    insts += [random_peel_instance(rng) for _ in range(50)]
+    for inst in insts:
+        g = inst.graph
+        assert g.adjacency() is g.adjacency()
+        solve(inst)
+        rebuilt = {v: set() for v in g.vertices()}
+        for u, v in g.edges:
+            rebuilt[u].add(v)
+            rebuilt[v].add(u)
+        assert g.adjacency() == rebuilt

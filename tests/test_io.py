@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -132,3 +133,15 @@ def test_fuzzed_bytes_error_cleanly():
             parse_instance(junk)
         except (ParseError, ValidationError):
             pass
+
+
+def test_hitsub_parse_is_fast_on_many_targets():
+    # each target's connectivity check reuses the graph's adjacency
+    n = 4000
+    lines = [f"p hitsub {n} {n - 1} {n} 1"]
+    lines += [f"e {v} {v + 1}" for v in range(1, n)]
+    lines += [f"s 2 {v} {v + 1}" for v in range(1, n)] + ["s 2 1 2"]
+    t0 = time.perf_counter()
+    inst = parse_instance("\n".join(lines) + "\n")
+    assert time.perf_counter() - t0 < 2.0
+    assert inst.kind == KIND_SUBGRAPHS and len(inst.paths) == n
