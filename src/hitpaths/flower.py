@@ -22,7 +22,7 @@ from .errors import (
 )
 from .instance_io import Solution, certificate_for
 from .mvsat import GE, LE, SignedFormula, SignedLiteral, solve_tors2sat
-from .treecycle import Interval, distinct_intervals
+from .treecycle import Interval, distinct_intervals, stab_intervals
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,16 @@ class FlowerInstance:
     budgets: tuple[int, ...]
     paths: tuple[tuple[int, ...], ...]
     core_links: frozenset[int]  # petal endpoints adjacent to the core
+    # per petal, the (lo, hi) position spans of the targets inside it
+    internal: tuple[tuple[tuple[int, int], ...], ...]
+    # per target through the core, its (petal, fragment) pieces in path
+    # order; () for a target that is the bare core
+    crossing: tuple[tuple[tuple[int, Interval], ...], ...]
 
 
 def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance:
-    """Validate and freeze a flower instance.
+    """Validate and freeze a flower instance, splitting every target at the
+    core into per-petal internal spans and core-crossing fragments.
 
     When core_links is omitted, every petal endpoint is taken to be adjacent
     to the core (the fully wired flower).
@@ -74,7 +80,14 @@ def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance
         (pi, pj), (qi, qj) = pos[u], pos[v]
         return pi == qi and abs(pj - qj) == 1
 
+    def span(run) -> tuple[int, int, int]:
+        # a validated run of petal vertices is contiguous on one petal
+        (i, a), (_, b) = pos[run[0]], pos[run[-1]]
+        return i, min(a, b), max(a, b)
+
     frozen_paths = []
+    internal: list[list[tuple[int, int]]] = [[] for _ in petals]
+    crossing = []
     for idx, path in enumerate(paths):
         seq = tuple(path)
         if not seq or len(set(seq)) != len(seq):
@@ -84,7 +97,23 @@ def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance
         if any(not adjacent(a, b) for a, b in zip(seq, seq[1:])):
             raise ValidationError(f"path {idx + 1} is not a path of the flower")
         frozen_paths.append(seq)
-    return FlowerInstance(core, petals, budgets, tuple(frozen_paths), core_links)
+        if core not in seq:
+            i, lo, hi = span(seq)
+            internal[i].append((lo, hi))
+            continue
+        c = seq.index(core)
+        frags = []
+        for run in (seq[:c], seq[c + 1 :]):
+            if run:
+                i, lo, hi = span(run)
+                if lo != 1 and hi != len(petals[i]):
+                    raise FlowerShapeViolation("core-crossing fragment is not a prefix or suffix")
+                frags.append((i, Interval(lo, hi)))
+        crossing.append(tuple(frags))
+    spans = tuple(map(tuple, internal))
+    return FlowerInstance(
+        core, petals, budgets, tuple(frozen_paths), core_links, spans, tuple(crossing)
+    )
 
 
 def canonical_solution(
@@ -92,9 +121,9 @@ def canonical_solution(
 ) -> Optional[frozenset[int]]:
     """The canonical solution starting at position ell, or None (NIL).
 
-    Start from {ell}; repeatedly cover the uncovered internal interval with
-    the smallest right endpoint by picking that endpoint; then pad with the
-    highest unused positions at or right of ell. Defined only when the
+    Start from {ell}, add the earliest-right-endpoint greedy points
+    (stab_intervals) of the internal intervals {ell} misses, then pad with
+    the highest unused positions at or right of ell. Defined only when the
     result has exactly `budget` positions and no internal interval lies
     strictly left of ell.
     """
@@ -102,16 +131,12 @@ def canonical_solution(
         raise ValidationError(f"index {ell} out of range 1..{petal_length}")
     if any(iv.hi < ell for iv in internal_paths):
         return None
-    chosen = {ell}
-    while True:
-        unhit = [iv for iv in internal_paths if not any(iv.contains(p) for p in chosen)]
-        if not unhit:
-            break
-        chosen.add(min(iv.hi for iv in unhit))
+    # no interval lies left of ell, so {ell} misses exactly those right of it
+    right = [iv for iv in internal_paths if iv.lo > ell]
+    chosen = {ell} | stab_intervals(petal_length, right)[1]
     pad = petal_length
     while len(chosen) < budget and pad >= ell:
-        if pad not in chosen:
-            chosen.add(pad)
+        chosen.add(pad)
         pad -= 1
     if len(chosen) != budget:
         return None
@@ -150,45 +175,6 @@ def fragment_literal(
     return None
 
 
-def _classify_paths(inst: FlowerInstance):
-    """Split targets into per-petal internal (lo, hi) spans and core-crossing
-    fragment lists; returns (internal, crossing, has_core_singleton)."""
-    pos = {}
-    for i, p in enumerate(inst.petals):
-        for j, v in enumerate(p):
-            pos[v] = (i, j + 1)
-    internal: list[list[tuple[int, int]]] = [[] for _ in inst.petals]
-    crossing: list[list[tuple[int, Interval]]] = []
-    core_singleton = False
-    for path in inst.paths:
-        if inst.core not in path:
-            ps = [pos[v] for v in path]
-            i = ps[0][0]
-            js = [j for _, j in ps]
-            internal[i].append((min(js), max(js)))
-            continue
-        if len(path) == 1:
-            core_singleton = True
-            continue
-        frags: list[tuple[int, Interval]] = []
-        run: list[tuple[int, int]] = []
-        for v in list(path) + [inst.core]:
-            if v == inst.core:
-                if run:
-                    i = run[0][0]
-                    js = [j for _, j in run]
-                    frags.append((i, Interval(min(js), max(js))))
-                    run = []
-            else:
-                run.append(pos[v])
-        for i, iv in frags:
-            length = len(inst.petals[i])
-            if iv.lo != 1 and iv.hi != length:
-                raise FlowerShapeViolation("core-crossing fragment is not a prefix or suffix")
-        crossing.append(frags)
-    return internal, crossing, core_singleton
-
-
 def solve_flower(inst: FlowerInstance) -> Solution:
     """Decide the exact-budget hitting problem on a flower.
 
@@ -199,15 +185,14 @@ def solve_flower(inst: FlowerInstance) -> Solution:
     into the union of the selected canonical solutions.
     """
     n = len(inst.petals)
-    internal, crossing, core_singleton = _classify_paths(inst)
-    if core_singleton:
+    if () in inst.crossing:  # a target that is the bare core
         return Solution("NO")
 
     tables = []
     clauses: list[tuple[SignedLiteral, ...]] = []
     for i, petal in enumerate(inst.petals):
         # dedupe identical internal intervals; hitting one hits all copies
-        ivs = distinct_intervals(internal[i])
+        ivs = distinct_intervals(inst.internal[i])
         table = canonical_table(len(petal), ivs, inst.budgets[i])
         tables.append(table)
         defined = [ell for ell in range(1, len(petal) + 1) if table[ell] is not None]
@@ -219,7 +204,7 @@ def solve_flower(inst: FlowerInstance) -> Solution:
         clauses.append((SignedLiteral(i + 1, LE, defined[-1]),))
 
     seen_clauses = set()
-    for frags in crossing:
+    for frags in inst.crossing:
         lits = []
         for i, iv in frags:
             lit = fragment_literal(i + 1, iv, len(inst.petals[i]), tables[i])

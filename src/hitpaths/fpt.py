@@ -3,16 +3,18 @@
 Pipeline: strip degree-<=1 vertices (forcing those demanded by singleton
 targets), bridge components, dispatch simple cycles to the cycle solver,
 and otherwise branch over which high-degree vertices join the solution and
-which path components get their optimum budget versus optimum+1. Every
-surviving branch becomes an exact-budget flower instance solved via signed
-2-SAT; the first successful branch yields the answer.
+which path components get their optimum budget versus optimum+1. A branch
+that puts every high-degree vertex into the solution is filled greedily
+per component; every other surviving branch becomes an exact-budget flower
+instance solved via signed 2-SAT. The first successful branch yields the
+answer.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import FlowerShapeViolation, InvariantViolation, ValidationError
 from .flower import FlowerInstance, make_flower, solve_flower
@@ -54,18 +56,6 @@ class SolveStats:
     branches_after_filter: int = 0
     flower_calls: int = 0
     solution_cost: Optional[int] = None
-
-
-class BranchInfeasible:
-    """A guessed branch admits no solution (some target became unhittable)."""
-
-
-@dataclass(frozen=True)
-class DirectVerdict:
-    """Branch outcome when no core remains: all of S was guessed into the
-    solution, so surviving targets live inside single components."""
-
-    feasible: bool
 
 
 def preprocess(inst: HitPathsInstance) -> PreprocessResult:
@@ -178,13 +168,14 @@ def build_flower_branch(
     s_prime: set[int],
     paths,
     core_id: int,
-) -> Union[BranchInfeasible, DirectVerdict, FlowerInstance]:
+) -> FlowerInstance:
     """Turn one (S', budgets) guess into a flower instance.
 
     Delete S' and the targets it hits, drop targets that fully contain a
     positive-budget component, delete zero-budget components while shaving
     their vertices out of the targets, and finally identify the remaining
-    high-degree vertices into the core.
+    high-degree vertices into the core. S' must leave at least one vertex
+    of S for the core.
     """
     comp_of: dict[int, int] = {}
     for ci, cd in enumerate(comps):
@@ -204,16 +195,7 @@ def build_flower_branch(
         touched = {comp_of[v] for v in p if v in comp_of}
         if any(budgets[ci] > 0 and set(comps[ci].component.vertices) <= pv for ci in touched):
             continue
-        shrunk = [v for v in p if v not in dead]
-        if not shrunk:
-            return BranchInfeasible()
-        surviving.append(shrunk)
-
-    if not core_set:
-        feasible = all(
-            budgets[ci] <= len(comps[ci].component.vertices) for ci in range(len(comps))
-        ) and all(all(v in comp_of and budgets[comp_of[v]] > 0 for v in p) for p in surviving)
-        return DirectVerdict(feasible)
+        surviving.append([v for v in p if v not in dead])
 
     petals = []
     petal_budgets = []
@@ -316,17 +298,15 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
             budgets = [
                 cd.opt if c_mask >> ci & 1 else cd.opt + 1 for ci, cd in enumerate(comps)
             ]
-            branch = build_flower_branch(s, comps, budgets, s_prime, paths, core_id)
-            if isinstance(branch, BranchInfeasible):
-                continue
-            if isinstance(branch, DirectVerdict):
-                if not branch.feasible:
-                    continue
+            if len(s_prime) == len(s):
+                # no core: every target S misses lies inside one
+                # positive-budget component, which its greedy fill hits
                 chosen_new = set(s_prime)
                 for ci, cd in enumerate(comps):
                     if budgets[ci] > 0:
                         chosen_new |= _fill_component(cd, budgets[ci])
             else:
+                branch = build_flower_branch(s, comps, budgets, s_prime, paths, core_id)
                 stats.flower_calls += 1
                 fsol = solve_flower(branch)
                 if fsol.verdict != "YES":

@@ -200,6 +200,8 @@ def parse_solution(text: str) -> Solution:
     if len(lines) != 1 or lines[0][0] != "s":
         raise ParseError("expected a single 's' line")
     tokens = lines[0]
+    if len(tokens) < 2:
+        raise ParseError("'s' line lacks the solution size")
     size = _int(tokens[1], "solution size")
     if size == -1:
         if len(tokens) != 2:

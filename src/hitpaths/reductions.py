@@ -9,8 +9,10 @@ factory rather than as complexity results.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (
@@ -191,6 +193,34 @@ class GeneratorConfig:
     t_policy: str = "random"  # random | opt | opt-1 | opt+1
 
 
+class _NonEdges(Sequence):
+    """The sorted pairs (u, v), u < v, that are not edges of a tree on
+    1..n, indexed without listing them: row u holds the v above u that
+    are not tree neighbours of u. random.sample reads only len and
+    indexing, so it draws exactly what it draws from the listed pairs."""
+
+    def __init__(self, n: int, tree_edges) -> None:
+        self._above: dict[int, list[int]] = {}  # u -> sorted tree neighbours v > u
+        for u, v in sorted(tree_edges):
+            self._above.setdefault(u, []).append(v)
+        self._starts = [0]  # self._starts[u - 1]: pairs in the rows before u
+        for u in range(1, n):
+            self._starts.append(self._starts[-1] + n - u - len(self._above.get(u, ())))
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        if not 0 <= i < len(self):
+            raise IndexError("non-edge index out of range")
+        u = bisect.bisect_right(self._starts, i)
+        v = u + 1 + i - self._starts[u - 1]
+        for w in self._above.get(u, ()):
+            if w <= v:
+                v += 1
+        return u, v
+
+
 def gen_random_instance(cfg: GeneratorConfig) -> HitPathsInstance:
     """Seeded deterministic instance: random recursive tree plus k extra
     edges, targets from self-avoiding random walks, budget per policy."""
@@ -204,13 +234,7 @@ def gen_random_instance(cfg: GeneratorConfig) -> HitPathsInstance:
     for v in range(2, cfg.n + 1):
         u = rng.randint(1, v - 1)
         edges.add((u, v))
-    pool = sorted(
-        (u, v)
-        for u in range(1, cfg.n + 1)
-        for v in range(u + 1, cfg.n + 1)
-        if (u, v) not in edges
-    )
-    edges.update(rng.sample(pool, cfg.k))
+    edges.update(rng.sample(_NonEdges(cfg.n, edges), cfg.k))
     graph = Graph.build(cfg.n, edges)
     adj = graph.adjacency()
 

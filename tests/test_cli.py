@@ -83,6 +83,13 @@ def test_verify_checks_no_claims(tmp_path, capsys):
     assert run(["verify", tri, claim]) == 2
 
 
+def test_verify_rejects_a_bare_solution_line(tmp_path, capsys):
+    inst = write(tmp_path, "tri.hp", TRIANGLE)
+    bare = write(tmp_path, "bare.sol", "s\n")
+    assert run(["verify", inst, bare]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_reduce_pipeline(tmp_path, capsys):
     tri = write(tmp_path, "tri.hp", TRIANGLE)
     formula = str(tmp_path / "tri.scnf")

@@ -15,6 +15,7 @@ from hitpaths import (
     solve_flower,
 )
 from hitpaths.oracle import flower_bruteforce
+from hitpaths.treecycle import distinct_intervals
 
 from conftest import random_flower
 
@@ -120,3 +121,140 @@ def test_solve_flower_matches_bruteforce_random():
             for petal, b in zip(inst.petals, inst.budgets):
                 assert len(fast.chosen.intersection(petal)) == b
             assert all(fast.chosen.intersection(p) for p in inst.paths)
+
+
+def rescanning_canonical_solution(petal_length, internal_paths, budget, ell):
+    """The earlier canonical_solution, kept as the reference: it rescans
+    every interval against every chosen point until all are hit."""
+    if any(iv.hi < ell for iv in internal_paths):
+        return None
+    chosen = {ell}
+    while True:
+        unhit = [iv for iv in internal_paths if not any(iv.contains(p) for p in chosen)]
+        if not unhit:
+            break
+        chosen.add(min(iv.hi for iv in unhit))
+    pad = petal_length
+    while len(chosen) < budget and pad >= ell:
+        chosen.add(pad)
+        pad -= 1
+    return frozenset(chosen) if len(chosen) == budget else None
+
+
+def random_petal_intervals(rng, length):
+    """Intervals with ties in hi, nesting, duplicates and, at times, all of
+    them crowded to the left so that late indices lie past every one."""
+    left = rng.random() < 0.2
+    ivs = []
+    for _ in range(rng.randint(0, 8)):
+        shape = rng.random()
+        if ivs and shape < 0.2:
+            ivs.append(rng.choice(ivs))  # duplicate
+        elif ivs and shape < 0.4:
+            outer = rng.choice(ivs)  # nested inside another
+            lo = rng.randint(outer.lo, outer.hi)
+            ivs.append(Interval(lo, rng.randint(lo, outer.hi)))
+        elif ivs and shape < 0.6:
+            hi = rng.choice(ivs).hi  # same right end as another
+            ivs.append(Interval(rng.randint(1, hi), hi))
+        else:
+            top = max(1, length // 3) if left else length
+            lo = rng.randint(1, top)
+            ivs.append(Interval(lo, rng.randint(lo, top)))
+    return ivs
+
+
+def test_canonical_table_matches_rescanning_reference():
+    rng = random.Random(59)
+    for _ in range(2500):
+        length = rng.randint(1, 12)
+        ivs = random_petal_intervals(rng, length)
+        budget = rng.randint(1, length + 1)
+        for given in (ivs, distinct_intervals((iv.lo, iv.hi) for iv in ivs)):
+            expected = [None] + [
+                rescanning_canonical_solution(length, given, budget, ell)
+                for ell in range(1, length + 1)
+            ]
+            assert canonical_table(length, given, budget) == expected
+
+
+def classify_by_second_walk(inst):
+    """The earlier _classify_paths, kept as the reference for the split that
+    make_flower now does: (internal spans, crossing fragment lists, whether
+    some target is the bare core)."""
+    pos = {}
+    for i, p in enumerate(inst.petals):
+        for j, v in enumerate(p):
+            pos[v] = (i, j + 1)
+    internal = [[] for _ in inst.petals]
+    crossing = []
+    core_singleton = False
+    for path in inst.paths:
+        if inst.core not in path:
+            ps = [pos[v] for v in path]
+            js = [j for _, j in ps]
+            internal[ps[0][0]].append((min(js), max(js)))
+            continue
+        if len(path) == 1:
+            core_singleton = True
+            continue
+        frags = []
+        run = []
+        for v in list(path) + [inst.core]:
+            if v == inst.core:
+                if run:
+                    js = [j for _, j in run]
+                    frags.append((run[0][0], Interval(min(js), max(js))))
+                    run = []
+            else:
+                run.append(pos[v])
+        crossing.append(frags)
+    return internal, crossing, core_singleton
+
+
+def assert_split_matches_reference(inst):
+    internal, crossing, core_singleton = classify_by_second_walk(inst)
+    assert inst.internal == tuple(map(tuple, internal))
+    assert tuple(c for c in inst.crossing if c) == tuple(map(tuple, crossing))
+    assert (() in inst.crossing) == core_singleton
+    assert len(inst.crossing) == sum(inst.core in p for p in inst.paths)
+
+
+def test_make_flower_split_matches_second_walk():
+    rng = random.Random(61)
+    partial = 0
+    for _ in range(2500):
+        base = random_flower(rng, max_petals=6, max_len=9)
+        # reverse some targets, and wire the core only to the petal ends
+        # the targets use plus a random few
+        paths = [p[::-1] if rng.random() < 0.5 else p for p in base.paths]
+        steps = [(a, b) for p in paths for a, b in zip(p, p[1:])]
+        used = {a if b == base.core else b for a, b in steps if base.core in (a, b)}
+        links = used | {v for v in base.core_links if rng.random() < 0.5}
+        partial += links != base.core_links
+        inst = make_flower(base.core, base.petals, base.budgets, paths, links)
+        assert_split_matches_reference(inst)
+    assert partial > 1000
+
+
+def test_make_flower_split_hand_cases():
+    # a bare core, next to an internal target
+    inst = make_flower(9, [(1, 2, 3)], [1], [(9,), (2, 3)])
+    assert inst.internal == (((2, 3),),) and inst.crossing == ((),)
+    assert_split_matches_reference(inst)
+    # two fragments on one petal, in path order, with the petal reversed
+    inst = make_flower(9, [(1, 2, 3), (4, 5)], [1, 1], [(2, 3, 9, 1), (5, 4, 9, 3)])
+    assert inst.crossing == (
+        ((0, Interval(2, 3)), (0, Interval(1, 1))),
+        ((1, Interval(1, 2)), (0, Interval(3, 3))),
+    )
+    assert_split_matches_reference(inst)
+    # partial core links: each petal is wired to the core at one end only
+    inst = make_flower(9, [(1, 2, 3), (4, 5)], [1, 1], [(3, 9, 4), (9, 4, 5)], core_links={3, 4})
+    assert inst.crossing == (
+        ((0, Interval(3, 3)), (1, Interval(1, 1))),
+        ((1, Interval(1, 2)),),
+    )
+    assert_split_matches_reference(inst)
+    with pytest.raises(ValidationError):
+        make_flower(9, [(1, 2, 3), (4, 5)], [1, 1], [(1, 9)], core_links={3, 4})

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -18,8 +20,10 @@ from hitpaths import (
 )
 from hitpaths.graph import path_components
 from hitpaths.oracle import SetSystem, exact_min_hitting_set, has_k_clique
+from hitpaths import reductions
 from hitpaths.reductions import (
     GeneratorConfig,
+    _NonEdges,
     clique_to_signed3sat,
     gen_random_instance,
     signed3sat_to_fvs2_instance,
@@ -139,6 +143,62 @@ def test_generator_t_policies():
         else:
             # opt-1 is infeasible unless opt was already 0
             assert feasible == (inst.t == 0 and not inst.paths)
+
+
+def listed_non_edges(n, tree_edges):
+    """The pool the generator drew its extra edges from before: every
+    non-edge, listed and sorted, O(n^2)."""
+    return sorted(
+        (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if (u, v) not in tree_edges
+    )
+
+
+def sample_list_limit(k):
+    """Largest population random.sample copies into a list for k draws."""
+    return 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+
+
+def test_non_edges_match_the_listed_pool():
+    rng = random.Random(83)
+    listed_path = indexed_path = many_draws = 0
+    for _ in range(1500):
+        n = rng.randint(1, 60)
+        tree = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+        pool = listed_non_edges(n, tree)
+        lazy = _NonEdges(n, tree)
+        assert len(lazy) == len(pool) and list(lazy) == pool
+        for past in (-1, len(pool)):
+            with pytest.raises(IndexError):
+                lazy[past]
+        k = rng.randint(0, min(30, len(pool)))
+        seed = rng.random()
+        a, b = random.Random(seed), random.Random(seed)
+        assert a.sample(pool, k) == b.sample(lazy, k)
+        assert a.random() == b.random()  # the later draws are unchanged too
+        listed_path += len(pool) <= sample_list_limit(k)
+        indexed_path += len(pool) > sample_list_limit(k)
+        many_draws += k > 5
+    assert min(listed_path, indexed_path, many_draws) > 200
+
+
+def test_generator_matches_the_listed_pool(monkeypatch):
+    rng = random.Random(97)
+    configs = []
+    for seed in range(400):
+        n = rng.randint(1, 40)
+        k = rng.randint(0, min(12, (n * (n - 1)) // 2 - (n - 1)))
+        policy = rng.choice(["random", "opt", "opt+1"]) if n <= 16 else "random"
+        configs.append(GeneratorConfig(seed, k, n, rng.randint(0, 10), rng.randint(1, 6), policy))
+    lazy = [write_instance(gen_random_instance(cfg)) for cfg in configs]
+    monkeypatch.setattr(reductions, "_NonEdges", listed_non_edges)
+    assert lazy == [write_instance(gen_random_instance(cfg)) for cfg in configs]
+
+
+def test_generator_is_near_linear():
+    t0 = time.perf_counter()
+    inst = gen_random_instance(GeneratorConfig(seed=1, k=3, n=4000, num_paths=1200))
+    assert time.perf_counter() - t0 < 1.0
+    assert cyclomatic_number(inst.graph) == 3
 
 
 def test_generator_rejects_impossible_configs():
