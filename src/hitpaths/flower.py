@@ -11,6 +11,7 @@ reduces to signed 2-SAT.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .instance_io import Solution, certificate_for
 from .mvsat import GE, LE, SignedFormula, SignedLiteral, solve_tors2sat
-from .treecycle import Interval, distinct_intervals, stab_intervals
+from .treecycle import Interval, distinct_intervals
 
 
 @dataclass(frozen=True)
@@ -119,60 +120,86 @@ def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance
 def canonical_solution(
     petal_length: int, internal_paths, budget: int, ell: int
 ) -> Optional[frozenset[int]]:
-    """The canonical solution starting at position ell, or None (NIL).
-
-    Start from {ell}, add the earliest-right-endpoint greedy points
-    (stab_intervals) of the internal intervals {ell} misses, then pad with
-    the highest unused positions at or right of ell. Defined only when the
-    result has exactly `budget` positions and no internal interval lies
-    strictly left of ell.
-    """
+    """The canonical solution starting at position ell, or None (NIL); the
+    entry of canonical_table at ell."""
     if not (1 <= ell <= petal_length):
         raise ValidationError(f"index {ell} out of range 1..{petal_length}")
-    if any(iv.hi < ell for iv in internal_paths):
-        return None
-    # no interval lies left of ell, so {ell} misses exactly those right of it
-    right = [iv for iv in internal_paths if iv.lo > ell]
-    chosen = {ell} | stab_intervals(petal_length, right)[1]
-    pad = petal_length
-    while len(chosen) < budget and pad >= ell:
-        chosen.add(pad)
-        pad -= 1
-    if len(chosen) != budget:
-        return None
-    if min(chosen) != ell:
-        raise InvariantViolation("canonical solution does not start at its index")
-    return frozenset(chosen)
+    return canonical_table(petal_length, internal_paths, budget)[ell]
 
 
-def canonical_table(petal_length: int, internal_paths, budget: int) -> list[Optional[frozenset[int]]]:
-    """Canonical solutions for every index; slot 0 unused."""
-    table: list[Optional[frozenset[int]]] = [None]
-    for ell in range(1, petal_length + 1):
-        table.append(canonical_solution(petal_length, internal_paths, budget, ell))
+class CanonicalTable(list):
+    """canonical_table's result: slot ell holds the canonical solution at
+    index ell or None, slot 0 is unused. `first` is the smallest defined
+    index (0 if none) and `maxima` the rightmost positions of the defined
+    solutions in index order."""
+
+    def __init__(self) -> None:
+        super().__init__([None])
+        self.first = 0
+        self.maxima: list[int] = []
+
+
+def canonical_table(petal_length: int, internal_paths, budget: int) -> CanonicalTable:
+    """Canonical solutions for every index in O(L + |I| + output).
+
+    The solution at ell is {ell} plus the earliest-right-endpoint greedy
+    (stab_intervals) over the intervals right of ell, which is the chain
+    ell -> nxt(ell) -> nxt(nxt(ell)) -> ... with nxt(p) = reach[p + 1], the
+    smallest right end among intervals with lo > p. It is padded with the
+    highest unused positions at or right of ell, and defined only when it
+    then has exactly `budget` positions and no interval lies strictly left
+    of ell (ell <= reach[1]). cnt[p] is the length of the chain from p.
+    """
+    length = petal_length
+    reach = [length + 1] * (length + 2)  # length + 1: no interval
+    for iv in internal_paths:
+        if not (1 <= iv.lo <= iv.hi <= length):
+            raise ValidationError(f"interval [{iv.lo},{iv.hi}] out of range for length {length}")
+        reach[iv.lo] = min(reach[iv.lo], iv.hi)
+    cnt = [0] * (length + 2)
+    for p in range(length, 0, -1):
+        reach[p] = min(reach[p], reach[p + 1])
+        cnt[p] = 1 + cnt[reach[p + 1]]
+    table = CanonicalTable()
+    for ell in range(1, length + 1):
+        if ell > reach[1] or not cnt[ell] <= budget <= length - ell + 1:
+            table.append(None)
+            continue
+        chosen = set()
+        p = ell
+        while p <= length:
+            chosen.add(p)
+            p = reach[p + 1]
+        pad = length
+        while len(chosen) < budget:
+            chosen.add(pad)
+            pad -= 1
+        if min(chosen) != ell:
+            raise InvariantViolation("canonical solution does not start at its index")
+        if not table.maxima:
+            table.first = ell
+        table.maxima.append(max(chosen))
+        table.append(frozenset(chosen))
     return table
 
 
 def fragment_literal(
-    petal_index: int, fragment: Interval, petal_length: int, table
+    petal_index: int, fragment: Interval, petal_length: int, table: CanonicalTable
 ) -> Optional[SignedLiteral]:
     """Literal over the petal's index variable characterizing when the
     canonical solution hits the given prefix or suffix fragment.
 
     Prefix [1,c]: hit iff the index is at most c. Suffix [c,L]: hit iff the
     rightmost canonical position reaches c, which by monotonicity happens
-    from some smallest index on. Returns None when no well-defined
-    canonical solution hits the fragment.
+    from some smallest index on, found by bisecting the table's maxima.
+    Returns None when no well-defined canonical solution hits the fragment.
     """
     if fragment.lo == 1:
         return SignedLiteral(petal_index, LE, fragment.hi)
     if fragment.hi != petal_length:
         raise ValidationError(f"fragment [{fragment.lo},{fragment.hi}] is neither prefix nor suffix")
-    for ell in range(1, petal_length + 1):
-        sol = table[ell]
-        if sol is not None and max(sol) >= fragment.lo:
-            return SignedLiteral(petal_index, GE, ell)
-    return None
+    j = bisect_left(table.maxima, fragment.lo)
+    return SignedLiteral(petal_index, GE, table.first + j) if j < len(table.maxima) else None
 
 
 def solve_flower(inst: FlowerInstance) -> Solution:
@@ -181,8 +208,10 @@ def solve_flower(inst: FlowerInstance) -> Solution:
     Builds the signed 2-CNF over one index variable per petal: unit clauses
     bound each variable to its petal's well-defined canonical range, and
     each core-crossing target contributes a clause over the (at most two)
-    petals holding its fragments. A satisfying assignment is decoded back
-    into the union of the selected canonical solutions.
+    petals holding its fragments. Each variable ranges over the ranks of
+    the cut points its literals name, so the 2-SAT gets one boolean per cut
+    point per petal. A satisfying assignment is decoded back into the union
+    of the selected canonical solutions.
     """
     n = len(inst.petals)
     if () in inst.crossing:  # a target that is the bare core
@@ -195,13 +224,13 @@ def solve_flower(inst: FlowerInstance) -> Solution:
         ivs = distinct_intervals(inst.internal[i])
         table = canonical_table(len(petal), ivs, inst.budgets[i])
         tables.append(table)
-        defined = [ell for ell in range(1, len(petal) + 1) if table[ell] is not None]
-        if not defined:
+        if not table.maxima:
             return Solution("NO")
-        if defined != list(range(defined[0], defined[-1] + 1)):
+        last = table.first + len(table.maxima) - 1
+        if None in table[table.first : last + 1]:
             raise ContiguityViolation(f"petal {i + 1} has gaps in its canonical indices")
-        clauses.append((SignedLiteral(i + 1, GE, defined[0]),))
-        clauses.append((SignedLiteral(i + 1, LE, defined[-1]),))
+        clauses.append((SignedLiteral(i + 1, GE, table.first),))
+        clauses.append((SignedLiteral(i + 1, LE, last),))
 
     seen_clauses = set()
     for frags in inst.crossing:
@@ -217,15 +246,34 @@ def solve_flower(inst: FlowerInstance) -> Solution:
             seen_clauses.add(key)
             clauses.append(tuple(lits))
 
-    num_values = max((len(p) for p in inst.petals), default=1)
-    formula = SignedFormula(n, num_values, tuple(clauses))
+    # rank compression: a petal's literals only ask which of their cut
+    # points (b for >= b, b + 1 <= L for <= b, and 1 so that every index
+    # has a rank) its index reaches, so rank r stands for the indices from
+    # the r-th cut point up to the next one
+    cuts = [{1} for _ in inst.petals]
+    for clause in clauses:
+        for lit in clause:
+            b = lit.bound if lit.op == GE else lit.bound + 1
+            if b <= len(inst.petals[lit.var - 1]):
+                cuts[lit.var - 1].add(b)
+    cuts = [sorted(c) for c in cuts]
+
+    def ranked(lit: SignedLiteral) -> SignedLiteral:
+        c = cuts[lit.var - 1]
+        if lit.op == GE:
+            return SignedLiteral(lit.var, GE, bisect_left(c, lit.bound) + 1)
+        return SignedLiteral(lit.var, LE, bisect_right(c, lit.bound))
+
+    num_values = max(map(len, cuts), default=1)
+    formula = SignedFormula(n, num_values, tuple(tuple(map(ranked, cl)) for cl in clauses))
     assignment = solve_tors2sat(formula)
     if assignment is None:
         return Solution("NO")
 
     chosen: set[int] = set()
     for i, petal in enumerate(inst.petals):
-        sol = tables[i][assignment[i]]
+        # decode a rank to the smallest index of its cell
+        sol = tables[i][cuts[i][assignment[i] - 1]]
         if sol is None:
             raise InvariantViolation(f"assignment picked an undefined index on petal {i + 1}")
         chosen.update(petal[p - 1] for p in sol)

@@ -68,11 +68,18 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     Vertices are peeled smallest id first from a heap of the live vertices
     of degree <= 1 (Batagelj-Zaversnik peeling, with a heap for the order),
     and each target is trimmed by moving its end pointers, so the whole
-    pass takes O((n + m) log n + sum of target lengths).
+    pass takes O((n + m) log n + sum of target lengths). When no vertex
+    has degree <= 1 the input graph and targets are returned as they are,
+    with identity id maps.
     """
     if inst.kind != KIND_PATHS:
         raise ValidationError("preprocessing applies to path instances only")
     g = inst.graph
+    k = cyclomatic_number(g)
+    low = [v for v, ns in g.adjacency().items() if len(ns) <= 1]
+    if not low:  # nothing peels: the residual is the input
+        ids = {v: v for v in g.vertices()}
+        return PreprocessResult(g, inst.paths, frozenset(), inst.t, k, ids, dict(ids))
     adj = {v: set(ns) for v, ns in g.adjacency().items()}
     paths = inst.paths
     lo = [0] * len(paths)
@@ -84,9 +91,6 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
             through.setdefault(v, []).append(i)
     forced: set[int] = set()
     t = inst.t
-    k = cyclomatic_number(g)
-
-    low = [v for v in g.vertices() if len(adj[v]) <= 1]
     heapq.heapify(low)
     while low:
         v = heapq.heappop(low)
@@ -263,7 +267,9 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
     if pre.t_remaining < 0:
         return Solution("NO")
 
-    g = connect_components(pre.graph)
+    g = pre.graph
+    if pre.k - g.m + g.n > 1:  # more than one component
+        g = connect_components(g)
     paths = pre.paths
     adj = g.adjacency()
 

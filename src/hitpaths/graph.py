@@ -103,9 +103,9 @@ def is_simple_path(g: Graph, seq: Sequence[int]) -> bool:
         return False
     if len(set(seq)) != len(seq):
         return False
-    if any(not (1 <= v <= g.n) for v in seq):
-        return False
-    return all(g.has_edge(a, b) for a, b in zip(seq, seq[1:]))
+    # adjacency keys are exactly 1..n, and a neighbour is always one of them
+    adj = g.adjacency()
+    return seq[0] in adj and all(b in adj[a] for a, b in zip(seq, seq[1:]))
 
 
 def cyclomatic_number(g: Graph) -> int:
@@ -126,41 +126,39 @@ def path_components(g: Graph, s: set[int]) -> list[PathComponent]:
     ordered by their smallest contained id. Raises NotAPath when a component
     is not an induced path, which signals a precondition violation by the
     caller (s must contain every vertex of degree != 2).
+
+    Each component is walked once, from its smallest vertex outwards along
+    neighbours outside s; a branching vertex or a return to a visited vertex
+    (a cycle) stops the walk.
     """
     adj = g.adjacency()
-    rest = [v for v in g.vertices() if v not in s]
-    sub_adj = {v: sorted(w for w in adj[v] if w not in s) for v in rest}
-
+    seen: set[int] = set()
     comps: list[PathComponent] = []
-    for comp in g.components(rest):
-        n_edges = sum(len(sub_adj[v]) for v in comp) // 2
-        if n_edges != len(comp) - 1 or any(len(sub_adj[v]) > 2 for v in comp):
-            raise NotAPath(f"component containing {min(comp)} is not an induced path")
-        if len(comp) == 1:
-            v = comp[0]
-            s_nbrs = sorted(w for w in adj[v] if w in s)
-            left = s_nbrs[0] if s_nbrs else None
-            right = s_nbrs[-1] if s_nbrs else None
-            comps.append(PathComponent((v,), left, right))
-        else:
-            ends = sorted(v for v in comp if len(sub_adj[v]) <= 1)
-            first = ends[0]
-            order = [first]
-            prev = None
-            cur = first
-            while len(order) < len(comp):
-                nxt = [w for w in sub_adj[cur] if w != prev]
-                prev, cur = cur, nxt[0]
-                order.append(cur)
-            left_nbrs = sorted(w for w in adj[order[0]] if w in s)
-            right_nbrs = sorted(w for w in adj[order[-1]] if w in s)
-            comps.append(
-                PathComponent(
-                    tuple(order),
-                    left_nbrs[0] if left_nbrs else None,
-                    right_nbrs[0] if right_nbrs else None,
-                )
-            )
+    for v in g.vertices():
+        if v in s or v in seen:
+            continue
+        seen.add(v)
+        ends = [w for w in adj[v] if w not in s]
+        if len(ends) > 2:
+            raise NotAPath(f"component containing {v} is not an induced path")
+        halves: list[list[int]] = [[], []]
+        for half, w in zip(halves, ends):
+            prev = v
+            while w is not None:
+                ahead = [x for x in adj[w] if x not in s and x != prev]
+                if w in seen or len(ahead) > 1:
+                    raise NotAPath(f"component containing {v} is not an induced path")
+                seen.add(w)
+                half.append(w)
+                prev, w = w, (ahead[0] if ahead else None)
+        order = halves[1][::-1] + [v] + halves[0]
+        if order[-1] < order[0]:
+            order.reverse()
+        left = min((w for w in adj[order[0]] if w in s), default=None)
+        # a lone vertex reports its smallest and largest neighbour in s
+        pick = max if len(order) == 1 else min
+        right = pick((w for w in adj[order[-1]] if w in s), default=None)
+        comps.append(PathComponent(tuple(order), left, right))
     return comps
 
 

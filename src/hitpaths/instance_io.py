@@ -127,7 +127,10 @@ def parse_instance(text: str) -> HitPathsInstance:
             if len(tokens) < 2:
                 raise ParseError(f"bad target line {' '.join(tokens)!r}")
             k = _int(tokens[1], "target size")
-            vs = [_int(x, "vertex") for x in tokens[2:]]
+            try:
+                vs = list(map(int, tokens[2:]))
+            except ValueError:
+                vs = [_int(x, "vertex") for x in tokens[2:]]
             if k != len(vs):
                 raise ParseError(f"target line announces {k} vertices, has {len(vs)}")
             targets.append(tuple(vs))

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,6 +7,7 @@ from hitpaths import (
     GE,
     LE,
     Interval,
+    SignedFormula,
     SignedLiteral,
     ValidationError,
     canonical_solution,
@@ -13,6 +15,8 @@ from hitpaths import (
     fragment_literal,
     make_flower,
     solve_flower,
+    solve_tors2sat,
+    stab_intervals,
 )
 from hitpaths.oracle import flower_bruteforce
 from hitpaths.treecycle import distinct_intervals
@@ -258,3 +262,98 @@ def test_make_flower_split_hand_cases():
     assert_split_matches_reference(inst)
     with pytest.raises(ValidationError):
         make_flower(9, [(1, 2, 3), (4, 5)], [1, 1], [(1, 9)], core_links={3, 4})
+
+
+def uncompressed_verdict(inst):
+    """The earlier formula construction, kept as the reference: one signed
+    variable per petal over 1..(longest petal), suffix literals found by
+    scanning every index. Returns the verdict and where it was decided."""
+    if () in inst.crossing:
+        return "NO", "core"
+    tables = []
+    clauses = []
+    for i, petal in enumerate(inst.petals):
+        table = canonical_table(len(petal), distinct_intervals(inst.internal[i]), inst.budgets[i])
+        defined = [ell for ell in range(1, len(petal) + 1) if table[ell] is not None]
+        if not defined:
+            return "NO", "range"
+        clauses.append((SignedLiteral(i + 1, GE, defined[0]),))
+        clauses.append((SignedLiteral(i + 1, LE, defined[-1]),))
+        tables.append(table)
+    for frags in inst.crossing:
+        lits = []
+        for i, iv in frags:
+            if iv.lo == 1:
+                lits.append(SignedLiteral(i + 1, LE, iv.hi))
+                continue
+            reaching = [
+                ell for ell in range(1, len(inst.petals[i]) + 1)
+                if tables[i][ell] is not None and max(tables[i][ell]) >= iv.lo
+            ]
+            if reaching:
+                lits.append(SignedLiteral(i + 1, GE, reaching[0]))
+        if not lits:
+            return "NO", "clause"
+        clauses.append(tuple(lits))
+    num_values = max(len(p) for p in inst.petals)
+    formula = SignedFormula(len(inst.petals), num_values, tuple(clauses))
+    return ("NO" if solve_tors2sat(formula) is None else "YES"), "2-SAT"
+
+
+def long_petal_flower(rng):
+    """Up to 8 petals of up to 60 vertices, budgets near each petal's
+    optimum, and up to 40 core-crossing targets with short end fragments."""
+    petals = []
+    nxt = 1
+    for _ in range(rng.randint(1, 8)):
+        length = rng.randint(1, 60)
+        petals.append(tuple(range(nxt, nxt + length)))
+        nxt += length
+    core = nxt
+    paths = []
+    budgets = []
+    for petal in petals:
+        length = len(petal)
+        ivs = []
+        for _ in range(rng.randint(0, 10)):
+            lo = rng.randint(1, length)
+            ivs.append((lo, min(length, lo + rng.randint(0, 6))))
+        paths += [petal[lo - 1 : hi] for lo, hi in ivs]
+        opt = stab_intervals(length, distinct_intervals(ivs))[0]
+        slack = -1 if rng.random() < 0.03 else rng.choice((0, 0, 1, 2))
+        budgets.append(min(length, max(1, opt + slack)))
+
+    def suffix(petal):
+        return petal[len(petal) - rng.randint(1, min(len(petal), 12)) :]
+
+    def prefix(petal):
+        return petal[: rng.randint(1, min(len(petal), 12))]
+
+    for _ in range(rng.randint(0, 40)):
+        a, b = rng.choice(petals), rng.choice(petals)
+        shape = rng.random()
+        if shape < 0.2:
+            paths.append(suffix(a) + (core,))
+        elif shape < 0.4:
+            paths.append((core,) + prefix(b))
+        elif a is not b:
+            paths.append(suffix(a) + (core,) + prefix(b))
+    return make_flower(core, petals, budgets, paths)
+
+
+def test_compressed_2sat_matches_uncompressed_formula():
+    rng = random.Random(97)
+    causes = Counter()
+    for _ in range(1000):
+        inst = long_petal_flower(rng)
+        want, cause = uncompressed_verdict(inst)
+        causes[want, cause] += 1
+        sol = solve_flower(inst)
+        assert sol.verdict == want
+        if sol.verdict == "YES":
+            assert inst.core not in sol.chosen
+            for petal, b in zip(inst.petals, inst.budgets):
+                assert len(sol.chosen.intersection(petal)) == b
+            assert all(sol.chosen.intersection(p) for p in inst.paths)
+    # both verdicts must come out of the 2-SAT step itself, often
+    assert causes["YES", "2-SAT"] > 300 and causes["NO", "2-SAT"] > 200, causes

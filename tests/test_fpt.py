@@ -343,3 +343,45 @@ def test_solve_leaves_adjacency_untouched():
             rebuilt[u].add(v)
             rebuilt[v].add(u)
         assert g.adjacency() == rebuilt
+
+
+def min_degree_two_instances(rng, count):
+    """Random residuals (min degree >= 2, at times disconnected) with the
+    trimmed targets, rebuilt as instances of their own."""
+    insts = [scaling_instance(3), make_instance(C4_CHORD, [(2,), (4,), (1, 3)], 3)]
+    two_triangles = Graph.build(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
+    insts.append(make_instance(two_triangles, [(1, 2), (6,)], 2))
+    while len(insts) < count:
+        pre = preprocess(random_peel_instance(rng))
+        if pre.graph.n:
+            insts.append(make_instance(pre.graph, pre.paths, rng.randint(0, pre.graph.n)))
+    return insts
+
+
+def test_preprocess_returns_min_degree_two_input_as_is():
+    rng = random.Random(83)
+    for inst in min_degree_two_instances(rng, 300):
+        pre = preprocess(inst)
+        assert pre.graph is inst.graph and pre.paths is inst.paths
+        assert pre == quadratic_preprocess(inst)
+
+
+def test_connected_input_runs_one_component_search(monkeypatch):
+    calls = []
+    search = Graph.components
+
+    def counted(self, vs=None):
+        calls.append(vs)
+        return search(self, vs)
+
+    monkeypatch.setattr(Graph, "components", counted)
+    rng = random.Random(89)
+    checked = 0
+    for inst in min_degree_two_instances(rng, 200):
+        connected = len(search(inst.graph)) == 1
+        calls.clear()
+        solve(inst)
+        # a disconnected input is bridged, which takes a second search
+        assert len(calls) == (1 if connected else 2)
+        checked += connected
+    assert checked > 100

@@ -1,15 +1,20 @@
+import random
+
 import pytest
 
 from hitpaths import (
     Graph,
     NotAPath,
+    PathComponent,
     ValidationError,
     connect_components,
     cyclomatic_number,
     high_degree_set,
     is_simple_path,
     path_components,
+    preprocess,
 )
+from hitpaths.reductions import GeneratorConfig, gen_random_instance
 
 
 def cycle(n):
@@ -87,3 +92,93 @@ def test_is_simple_path():
     assert not is_simple_path(p3, (1, 3))
     assert not is_simple_path(p3, (1, 2, 1))
     assert not is_simple_path(p3, ())
+
+
+def components_then_walk(g, s):
+    """The earlier path_components, kept as the reference: one component
+    search over g - s, then a walk from each component's smaller end over
+    sorted sub-adjacency lists."""
+    adj = g.adjacency()
+    rest = [v for v in g.vertices() if v not in s]
+    sub_adj = {v: sorted(w for w in adj[v] if w not in s) for v in rest}
+    comps = []
+    for comp in g.components(rest):
+        n_edges = sum(len(sub_adj[v]) for v in comp) // 2
+        if n_edges != len(comp) - 1 or any(len(sub_adj[v]) > 2 for v in comp):
+            raise NotAPath(f"component containing {min(comp)} is not an induced path")
+        if len(comp) == 1:
+            v = comp[0]
+            s_nbrs = sorted(w for w in adj[v] if w in s)
+            left = s_nbrs[0] if s_nbrs else None
+            right = s_nbrs[-1] if s_nbrs else None
+            comps.append(PathComponent((v,), left, right))
+        else:
+            first = min(v for v in comp if len(sub_adj[v]) <= 1)
+            order = [first]
+            prev, cur = None, first
+            while len(order) < len(comp):
+                nxt = [w for w in sub_adj[cur] if w != prev]
+                prev, cur = cur, nxt[0]
+                order.append(cur)
+            left_nbrs = sorted(w for w in adj[order[0]] if w in s)
+            right_nbrs = sorted(w for w in adj[order[-1]] if w in s)
+            comps.append(
+                PathComponent(
+                    tuple(order),
+                    left_nbrs[0] if left_nbrs else None,
+                    right_nbrs[0] if right_nbrs else None,
+                )
+            )
+    return comps
+
+
+def outcome(fn, g, s):
+    try:
+        return fn(g, s)
+    except NotAPath:
+        return NotAPath
+
+
+def test_path_components_matches_reference_on_residuals():
+    rng = random.Random(79)
+    compared = multi = 0
+    while compared < 1500:
+        k = rng.randint(0, 5)
+        cfg = GeneratorConfig(
+            seed=rng.randrange(10**9), k=k, n=rng.randint(k + 3, 60),
+            num_paths=rng.randint(0, 4),
+        )
+        g = preprocess(gen_random_instance(cfg)).graph
+        if g.n == 0:
+            continue
+        g = connect_components(g)
+        s = set(high_degree_set(g))
+        got = outcome(path_components, g, s)
+        assert got == outcome(components_then_walk, g, s)
+        compared += 1
+        # a residual that is one cycle has no S, and both raise
+        multi += got is not NotAPath and len(got) > 1
+    assert multi > 500
+    # subsets of S, and S with extra vertices, reach the NotAPath branches
+    raised = 0
+    for _ in range(1500):
+        k = rng.randint(1, 4)
+        cfg = GeneratorConfig(seed=rng.randrange(10**9), k=k, n=rng.randint(k + 3, 30),
+                              num_paths=0)
+        g = connect_components(preprocess(gen_random_instance(cfg)).graph)
+        s = {v for v in g.vertices() if rng.random() < 0.3}
+        want = outcome(components_then_walk, g, s)
+        assert outcome(path_components, g, s) == want
+        raised += want is NotAPath
+    assert raised > 100
+
+
+def test_path_components_rejects_cycles_and_branching():
+    # triangle 2-3-4 left in G - S once its only link 1 is removed
+    hanging_triangle = Graph.build(4, [(1, 2), (2, 3), (3, 4), (2, 4), (1, 3)])
+    # theta graph: 1 and 2 joined by three paths; 2 left out of S
+    theta = Graph.build(6, [(1, 3), (3, 2), (1, 4), (4, 2), (1, 5), (5, 6), (6, 2)])
+    for g, s in ((cycle(5), set()), (hanging_triangle, {1}), (theta, {1})):
+        for fn in (path_components, components_then_walk):
+            with pytest.raises(NotAPath):
+                fn(g, s)

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -145,3 +146,14 @@ def test_hitsub_parse_is_fast_on_many_targets():
     inst = parse_instance("\n".join(lines) + "\n")
     assert time.perf_counter() - t0 < 2.0
     assert inst.kind == KIND_SUBGRAPHS and len(inst.paths) == n
+
+
+def test_bad_target_vertex_token_is_named():
+    for word in ("hitpaths", "hitsub"):
+        for bad in ("x", "2.0", "1e3", "--1"):
+            text = f"p {word} 3 2 1 1\ne 1 2\ne 2 3\ns 3 1 {bad} 3\n"
+            with pytest.raises(ParseError, match=f"bad vertex token '{re.escape(bad)}'"):
+                parse_instance(text)
+    # tokens int() accepts still parse as before
+    inst = parse_instance("p hitpaths 3 2 1 1\ne 1 2\ne 2 3\ns 3 +1 02 3\n")
+    assert inst.paths == ((1, 2, 3),)
