@@ -17,7 +17,6 @@ from .errors import (
 )
 from .flower import (
     FlowerInstance,
-    canonical_solution,
     canonical_table,
     fragment_literal,
     make_flower,

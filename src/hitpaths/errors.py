@@ -17,8 +17,6 @@ class NotAPath(HitPathsError):
     """A component that was required to be an induced path is not one."""
 
 
-
-
 class ClauseTooWide(HitPathsError):
     """A clause exceeds the width supported by the consumer."""
 

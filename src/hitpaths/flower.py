@@ -23,7 +23,7 @@ from .errors import (
 )
 from .instance_io import Solution, certificate_for
 from .mvsat import GE, LE, SignedFormula, SignedLiteral, solve_tors2sat
-from .treecycle import Interval, distinct_intervals
+from .treecycle import Interval, chain, distinct_intervals, reach
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,6 @@ def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance
     )
 
 
-def canonical_solution(
-    petal_length: int, internal_paths, budget: int, ell: int
-) -> Optional[frozenset[int]]:
-    """The canonical solution starting at position ell, or None (NIL); the
-    entry of canonical_table at ell."""
-    if not (1 <= ell <= petal_length):
-        raise ValidationError(f"index {ell} out of range 1..{petal_length}")
-    return canonical_table(petal_length, internal_paths, budget)[ell]
-
-
 class CanonicalTable(list):
     """canonical_table's result: slot ell holds the canonical solution at
     index ell or None, slot 0 is unused. `first` is the smallest defined
@@ -143,33 +133,23 @@ def canonical_table(petal_length: int, internal_paths, budget: int) -> Canonical
     """Canonical solutions for every index in O(L + |I| + output).
 
     The solution at ell is {ell} plus the earliest-right-endpoint greedy
-    (stab_intervals) over the intervals right of ell, which is the chain
-    ell -> nxt(ell) -> nxt(nxt(ell)) -> ... with nxt(p) = reach[p + 1], the
-    smallest right end among intervals with lo > p. It is padded with the
-    highest unused positions at or right of ell, and defined only when it
-    then has exactly `budget` positions and no interval lies strictly left
-    of ell (ell <= reach[1]). cnt[p] is the length of the chain from p.
+    over the intervals right of ell, which is chain(r, ell, L) over
+    r = reach(L, intervals). It is padded with the highest unused positions
+    at or right of ell, and defined only when it then has exactly `budget`
+    positions and no interval lies strictly left of ell (ell <= r[1]).
+    cnt[p] is the length of the chain from p.
     """
     length = petal_length
-    reach = [length + 1] * (length + 2)  # length + 1: no interval
-    for iv in internal_paths:
-        if not (1 <= iv.lo <= iv.hi <= length):
-            raise ValidationError(f"interval [{iv.lo},{iv.hi}] out of range for length {length}")
-        reach[iv.lo] = min(reach[iv.lo], iv.hi)
+    r = reach(length, internal_paths)
     cnt = [0] * (length + 2)
     for p in range(length, 0, -1):
-        reach[p] = min(reach[p], reach[p + 1])
-        cnt[p] = 1 + cnt[reach[p + 1]]
+        cnt[p] = 1 + cnt[r[p + 1]]
     table = CanonicalTable()
     for ell in range(1, length + 1):
-        if ell > reach[1] or not cnt[ell] <= budget <= length - ell + 1:
+        if ell > r[1] or not cnt[ell] <= budget <= length - ell + 1:
             table.append(None)
             continue
-        chosen = set()
-        p = ell
-        while p <= length:
-            chosen.add(p)
-            p = reach[p + 1]
+        chosen = set(chain(r, ell, length))
         pad = length
         while len(chosen) < budget:
             chosen.add(pad)

@@ -27,13 +27,7 @@ from .graph import (
     path_components,
 )
 from .instance_io import KIND_PATHS, HitPathsInstance, Solution, certificate_for
-from .treecycle import (
-    CycleArc,
-    Interval,
-    distinct_intervals,
-    hit_paths_in_cycle,
-    stab_intervals,
-)
+from .treecycle import CycleArc, distinct_intervals, hit_paths_in_cycle, stab_intervals
 
 
 @dataclass(frozen=True)
@@ -137,8 +131,7 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
 class ComponentData:
     component: PathComponent
     opt: int
-    internal: tuple[Interval, ...]  # targets fully inside, as position intervals
-    greedy: frozenset[int]  # positions of an optimum piercing of `internal`
+    greedy: frozenset[int]  # positions of an optimum piercing of its targets
 
 
 def component_budgets(g: Graph, s, paths) -> list[ComponentData]:
@@ -161,7 +154,7 @@ def component_budgets(g: Graph, s, paths) -> list[ComponentData]:
     for comp, comp_spans in zip(comps, spans):
         ivs = distinct_intervals(comp_spans)
         opt, pts = stab_intervals(len(comp.vertices), ivs)
-        out.append(ComponentData(comp, opt, tuple(ivs), pts))
+        out.append(ComponentData(comp, opt, pts))
     return out
 
 
@@ -260,12 +253,10 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
         stats = SolveStats()
     pre = preprocess(inst)
     stats.k = pre.k
-    if pre.graph.n == 0:
-        if pre.t_remaining < 0:
-            return Solution("NO")
-        return _finish(inst, set(pre.forced))
     if pre.t_remaining < 0:
         return Solution("NO")
+    if pre.graph.n == 0:
+        return _finish(inst, set(pre.forced))
 
     g = pre.graph
     if pre.k - g.m + g.n > 1:  # more than one component
@@ -333,7 +324,7 @@ def _check_branch_bound(stats: SolveStats, k: int) -> None:
 
 
 def _solve_cycle(inst, pre: PreprocessResult, g: Graph, paths) -> Solution:
-    """Residual graph is a single cycle; try every vertex exactly."""
+    """Residual graph is a single cycle: solve its arcs exactly."""
     adj = g.adjacency()
     order = [1]
     prev: Optional[int] = None
@@ -352,9 +343,8 @@ def _solve_cycle(inst, pre: PreprocessResult, g: Graph, paths) -> Solution:
         if len(ps) == length:
             full += 1
             continue
-        arc = _positions_to_arc(ps, length)
-        arcs.append(arc)
-    size, pts = hit_paths_in_cycle(length, arcs) if arcs else (0, frozenset())
+        arcs.append(_positions_to_arc(ps, length))
+    size, pts = hit_paths_in_cycle(length, arcs)
     if size == 0 and full:
         size, pts = 1, frozenset({1})
     if size > pre.t_remaining:

@@ -106,6 +106,14 @@ def _int(tok: str, what: str) -> int:
         raise ParseError(f"bad {what} token {tok!r}") from None
 
 
+def _ints(tokens, what: str) -> list[int]:
+    """One map(int, ...); token by token only to name a bad one."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return [_int(tok, what) for tok in tokens]
+
+
 def parse_instance(text: str) -> HitPathsInstance:
     lines = _content_lines(text)
     if not lines or lines[0][0] != "p":
@@ -114,28 +122,27 @@ def parse_instance(text: str) -> HitPathsInstance:
     if len(header) != 6 or header[1] not in ("hitpaths", "hitsub"):
         raise ParseError(f"bad header {' '.join(header)!r}")
     kind = KIND_PATHS if header[1] == "hitpaths" else KIND_SUBGRAPHS
-    n, m, p, t = (_int(x, "header field") for x in header[2:])
-    edges = []
+    n, m, p, t = _ints(header[2:], "header field")
+    end_tokens: list[str] = []  # the two vertex tokens of every edge line
     targets = []
     for tokens in lines[1:]:
         tag = tokens[0]
         if tag == "e":
             if len(tokens) != 3:
                 raise ParseError(f"bad edge line {' '.join(tokens)!r}")
-            edges.append((_int(tokens[1], "vertex"), _int(tokens[2], "vertex")))
+            end_tokens += tokens[1:]
         elif tag == "s":
             if len(tokens) < 2:
                 raise ParseError(f"bad target line {' '.join(tokens)!r}")
             k = _int(tokens[1], "target size")
-            try:
-                vs = list(map(int, tokens[2:]))
-            except ValueError:
-                vs = [_int(x, "vertex") for x in tokens[2:]]
+            vs = _ints(tokens[2:], "vertex")
             if k != len(vs):
                 raise ParseError(f"target line announces {k} vertices, has {len(vs)}")
             targets.append(tuple(vs))
         else:
             raise ParseError(f"unknown line tag {tag!r}")
+    ends = _ints(end_tokens, "vertex")
+    edges = list(zip(ends[::2], ends[1::2]))
     if len(edges) != m:
         raise ParseError(f"header announces {m} edges, found {len(edges)}")
     if len(targets) != p:
@@ -164,7 +171,7 @@ def parse_signed_formula(text: str) -> SignedFormula:
     header = lines[0]
     if len(header) != 5 or header[1] != "scnf":
         raise ParseError(f"bad header {' '.join(header)!r}")
-    n, nvals, c = (_int(x, "header field") for x in header[2:])
+    n, nvals, c = _ints(header[2:], "header field")
     if n < 0 or nvals < 1:
         raise ValidationError(f"bad variable or truth value count {n}/{nvals}")
     clauses = []
@@ -210,7 +217,7 @@ def parse_solution(text: str) -> Solution:
         if len(tokens) != 2:
             raise ParseError("NO solution line carries no vertices")
         return Solution("NO")
-    vs = [_int(x, "vertex") for x in tokens[2:]]
+    vs = _ints(tokens[2:], "vertex")
     if size != len(vs):
         raise ParseError(f"solution announces {size} vertices, has {len(vs)}")
     if len(set(vs)) != len(vs):

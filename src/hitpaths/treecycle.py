@@ -1,8 +1,12 @@
 """Polynomial-time exact hitting subroutines on paths and cycles.
 
-stab_intervals is the classic earliest-right-endpoint greedy for piercing
-intervals on a line; hit_paths_in_cycle tries every cycle vertex and solves
-the remaining open path greedily.
+One greedy serves lines, petals and cycles: reach(length, intervals) is a
+right-to-left pass giving, for each position, the smallest right end among
+the intervals starting there or later, and chain walks the earliest-right-
+endpoint greedy over it. stab_intervals is the chain from reach[1];
+flower.canonical_table walks it from every index of a petal; and
+hit_paths_in_cycle walks it from each vertex of a shortest arc on the
+cycle unrolled twice, in O(L + |arcs|) overall.
 """
 
 from __future__ import annotations
@@ -51,48 +55,68 @@ def distinct_intervals(spans) -> list[Interval]:
     return [Interval(lo, hi) for lo, hi in sorted(set(spans))]
 
 
-def stab_intervals(length: int, intervals) -> tuple[int, frozenset[int]]:
-    """Minimum set of positions meeting every interval; greedy by right end."""
+def reach(length: int, intervals) -> list[int]:
+    """Slot p (1..length + 1) holds the smallest right end among intervals
+    with lo >= p, or length + 1 if there is none."""
+    r = [length + 1] * (length + 2)
     for iv in intervals:
         if not (1 <= iv.lo <= iv.hi <= length):
             raise ValidationError(f"interval [{iv.lo},{iv.hi}] out of range for length {length}")
-    picked: list[int] = []
-    last = 0
-    for iv in sorted(intervals, key=lambda iv: (iv.hi, iv.lo)):
-        if iv.lo > last:
-            picked.append(iv.hi)
-            last = iv.hi
+        if iv.hi < r[iv.lo]:
+            r[iv.lo] = iv.hi
+    for p in range(length - 1, 0, -1):
+        if r[p + 1] < r[p]:
+            r[p] = r[p + 1]
+    return r
+
+
+def chain(r: list[int], p: int, stop: int) -> list[int]:
+    """The earliest-right-endpoint greedy over a reach array: p, r[p + 1],
+    r[r[p + 1] + 1], ... while at most stop; each step takes the smallest
+    right end among the intervals lying wholly right of the last pick."""
+    picked = []
+    while p <= stop:
+        picked.append(p)
+        p = r[p + 1]
+    return picked
+
+
+def stab_intervals(length: int, intervals) -> tuple[int, frozenset[int]]:
+    """Minimum set of positions meeting every interval; greedy by right end."""
+    r = reach(length, intervals)
+    picked = chain(r, r[1], length)
     return len(picked), frozenset(picked)
 
 
 def hit_paths_in_cycle(cycle_length: int, arcs) -> tuple[int, frozenset[int]]:
-    """Exact minimum piercing of vertex arcs on a cycle.
+    """Exact minimum piercing of vertex arcs on a cycle in O(L + |arcs|).
 
-    Tries every vertex as a solution member; deleting it opens the cycle
-    into a path, where the remaining arcs are stabbed greedily. Among
-    optima, the answer for the smallest tried vertex is returned.
+    Some optimum contains a vertex x of a shortest arc A*, and once x is
+    chosen the cycle opens into the path x+1..x+L-1, where the greedy by
+    right end is optimal. The cycle is rotated so that A* is 1..|A*| and
+    every arc is laid on a line of 2L from its rotated start on. An arc
+    missing x cannot end before x (it would be shorter than A*), so it lies
+    inside x+1..x+L-1 and the greedy after x is chain(r, x, x + L - 1); an
+    arc through x starts at or before x or ends at or after x + L, so it
+    never sways that walk. Consecutive
+    picks lie at least |A*| apart, so the |A*| walks take O(L) steps
+    together. Among optima, the walk from the smallest x wins.
     """
-    if cycle_length < 3:
-        raise ValidationError(f"cycle length {cycle_length} below 3")
+    L = cycle_length
+    if L < 3:
+        raise ValidationError(f"cycle length {L} below 3")
     arcs = list(arcs)
     for arc in arcs:
-        if not (1 <= arc.lo <= cycle_length and 1 <= arc.hi <= cycle_length):
+        if not (1 <= arc.lo <= L and 1 <= arc.hi <= L):
             raise ValidationError(f"arc ({arc.lo},{arc.hi}) out of range")
-        if arc.length(cycle_length) >= cycle_length:
+        if arc.length(L) >= L:
             raise ValidationError("arc covers the whole cycle")
     if not arcs:
         return 0, frozenset()
 
-    best: tuple[int, frozenset[int]] | None = None
-    for v in range(1, cycle_length + 1):
-        rest = [a for a in arcs if not a.contains(v)]
-        # cut at v: position p maps to (p - v) mod L in 1..L-1
-        ivs = [
-            Interval((a.lo - v) % cycle_length, (a.hi - v) % cycle_length)
-            for a in rest
-        ]
-        size, pts = stab_intervals(cycle_length - 1, ivs)
-        back = frozenset({v} | {(q + v - 1) % cycle_length + 1 for q in pts})
-        if best is None or 1 + size < best[0]:
-            best = (1 + size, back)
-    return best
+    shortest = min(arcs, key=lambda a: a.length(L))
+    shift = shortest.lo - 1  # cycle position q lies at (q - 1 - shift) % L + 1
+    starts = ((a, (a.lo - 1 - shift) % L + 1) for a in arcs)
+    r = reach(2 * L, [Interval(lo, lo + a.length(L) - 1) for a, lo in starts])
+    best = min((chain(r, x, x + L - 1) for x in range(1, shortest.length(L) + 1)), key=len)
+    return len(best), frozenset((q - 1 + shift) % L + 1 for q in best)

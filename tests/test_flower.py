@@ -10,7 +10,6 @@ from hitpaths import (
     SignedFormula,
     SignedLiteral,
     ValidationError,
-    canonical_solution,
     canonical_table,
     fragment_literal,
     make_flower,
@@ -31,17 +30,16 @@ def defined_indices(table):
 
 
 def test_canonical_solution_worked_example():
-    assert canonical_solution(5, PETAL, 2, 2) == frozenset({2, 5})
-    assert canonical_solution(5, PETAL, 2, 1) is None  # builds {1,3,5}, too big
-    assert canonical_solution(5, PETAL, 2, 4) is None  # interval [2,3] left behind
-    assert defined_indices(canonical_table(5, PETAL, 2)) == [2, 3]
+    table = canonical_table(5, PETAL, 2)
+    assert table[2] == frozenset({2, 5})
+    assert table[1] is None  # builds {1,3,5}, too big
+    assert table[4] is None  # interval [2,3] left behind
+    assert defined_indices(table) == [2, 3]
 
 
 def test_canonical_range_trivia():
     assert defined_indices(canonical_table(4, [], 1)) == [1, 2, 3, 4]
     assert defined_indices(canonical_table(4, [], 5)) == []
-    with pytest.raises(ValidationError):
-        canonical_solution(4, [], 1, 5)
 
 
 def test_canonical_laws_random():

@@ -330,6 +330,48 @@ def test_long_pendant_chain_with_far_singleton():
     assert chain + 3 in sol.chosen
 
 
+def test_long_cycle_solves_in_linear_time():
+    # a relabelled 10**4-vertex cycle with 10**4 targets of 1-6 vertices,
+    # walked in either direction; the earlier per-vertex cycle solver
+    # re-sorted the arcs once per vertex here
+    rng = random.Random(79)
+    n = 10**4
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    g = Graph.build(n, [(label[i], label[(i + 1) % n]) for i in range(n)])
+    targets = []
+    for _ in range(n):
+        start, size = rng.randrange(n), rng.randint(1, 6)
+        walk = [label[(start + j) % n] for j in range(size)]
+        targets.append(walk[::-1] if rng.random() < 0.5 else walk)
+    inst = make_instance(g, targets, n)
+    t0 = time.perf_counter()
+    sol = solve(inst)
+    assert time.perf_counter() - t0 < 2.0
+    check_yes(inst, sol)
+    tight = make_instance(g, targets, len(sol.chosen) - 1)
+    assert solve(tight).verdict == "NO"
+
+
+def test_solve_cycle_with_whole_cycle_targets():
+    c6 = Graph.build(6, [(i, i % 6 + 1) for i in range(1, 7)])
+    whole = [(3, 4, 5, 6, 1, 2), (3, 2, 1, 6, 5, 4)]
+    # alone: one vertex hits them
+    inst = make_instance(c6, whole, 1)
+    sol = solve(inst)
+    check_yes(inst, sol)
+    assert len(sol.chosen) == 1
+    assert solve(make_instance(c6, whole, 0)).verdict == "NO"
+    # mixed with shorter targets, which alone decide the optimum
+    inst = make_instance(c6, whole + [(2, 3)], 1)
+    sol = solve(inst)
+    check_yes(inst, sol)
+    assert sol.chosen <= {2, 3}
+    inst = make_instance(c6, [(1, 2)] + whole + [(5, 4)], 2)
+    check_yes(inst, solve(inst))
+    assert solve(make_instance(c6, [(1, 2)] + whole + [(5, 4)], 1)).verdict == "NO"
+
+
 def test_solve_leaves_adjacency_untouched():
     insts = [scaling_instance(3), make_instance(C4_CHORD, [(2,), (4,), (1, 3)], 3)]
     rng = random.Random(73)

@@ -154,6 +154,11 @@ def test_bad_target_vertex_token_is_named():
             text = f"p {word} 3 2 1 1\ne 1 2\ne 2 3\ns 3 1 {bad} 3\n"
             with pytest.raises(ParseError, match=f"bad vertex token '{re.escape(bad)}'"):
                 parse_instance(text)
+    # edge and header tokens are named the same way
+    with pytest.raises(ParseError, match="bad vertex token 'y'"):
+        parse_instance("p hitpaths 3 2 0 0\ne 1 2\ne y 3\n")
+    with pytest.raises(ParseError, match="bad header field token '1.5'"):
+        parse_instance("p hitpaths 3 1.5 0 0\n")
     # tokens int() accepts still parse as before
     inst = parse_instance("p hitpaths 3 2 1 1\ne 1 2\ne 2 3\ns 3 +1 02 3\n")
     assert inst.paths == ((1, 2, 3),)

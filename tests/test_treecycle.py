@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -76,3 +75,110 @@ def test_cycle_matches_bruteforce_random():
             for a in arcs
         ]
         assert size == brute_min_hitting(length, sets)
+
+
+def sorting_greedy(length, intervals):
+    """The earlier stab_intervals, kept as the reference: sort by right end
+    and pick the right end of every interval the last pick misses."""
+    picked = []
+    last = 0
+    for iv in sorted(intervals, key=lambda iv: (iv.hi, iv.lo)):
+        if iv.lo > last:
+            picked.append(iv.hi)
+            last = iv.hi
+    return len(picked), frozenset(picked)
+
+
+def trying_every_vertex(cycle_length, arcs):
+    """The earlier hit_paths_in_cycle, kept as the reference: for every
+    vertex v, take v and stab the arcs it misses on the path the cycle
+    opens into at v; the smallest v among the optima wins."""
+    if not arcs:
+        return 0, frozenset()
+    best = None
+    for v in range(1, cycle_length + 1):
+        ivs = [
+            Interval((a.lo - v) % cycle_length, (a.hi - v) % cycle_length)
+            for a in arcs
+            if not a.contains(v)
+        ]
+        size, pts = sorting_greedy(cycle_length - 1, ivs)
+        back = frozenset({v} | {(q + v - 1) % cycle_length + 1 for q in pts})
+        if best is None or 1 + size < best[0]:
+            best = (1 + size, back)
+    return best
+
+
+def random_line_family(rng, length):
+    """Intervals with ties in hi and lo, nesting, duplicates and single
+    positions."""
+    ivs = []
+    for _ in range(rng.randint(0, 10)):
+        shape = rng.random()
+        if ivs and shape < 0.2:
+            ivs.append(rng.choice(ivs))  # duplicate
+        elif ivs and shape < 0.4:
+            outer = rng.choice(ivs)  # nested inside another
+            lo = rng.randint(outer.lo, outer.hi)
+            ivs.append(Interval(lo, rng.randint(lo, outer.hi)))
+        elif ivs and shape < 0.55:
+            hi = rng.choice(ivs).hi  # same right end as another
+            ivs.append(Interval(rng.randint(1, hi), hi))
+        elif ivs and shape < 0.7:
+            lo = rng.choice(ivs).lo  # same left end as another
+            ivs.append(Interval(lo, rng.randint(lo, length)))
+        elif shape < 0.8:
+            p = rng.randint(1, length)
+            ivs.append(Interval(p, p))
+        else:
+            lo = rng.randint(1, length)
+            ivs.append(Interval(lo, rng.randint(lo, length)))
+    return ivs
+
+
+def test_stab_intervals_matches_sorting_greedy():
+    rng = random.Random(23)
+    for _ in range(3000):
+        length = rng.randint(1, 14)
+        ivs = random_line_family(rng, length)
+        assert stab_intervals(length, ivs) == sorting_greedy(length, ivs)
+
+
+def random_cycle_arcs(rng, length):
+    """Arcs that wrap, nest, repeat, hold one vertex or all but one."""
+    arcs = []
+    for _ in range(rng.randint(1, 10)):
+        shape = rng.random()
+        if arcs and shape < 0.15:
+            arcs.append(rng.choice(arcs))  # duplicate
+        elif arcs and shape < 0.35:
+            outer = rng.choice(arcs)  # nested inside another
+            start = rng.randint(0, outer.length(length) - 1)
+            span = rng.randint(1, outer.length(length) - start)
+            lo = (outer.lo + start - 1) % length + 1
+            arcs.append(CycleArc(lo, (lo + span - 2) % length + 1))
+        elif shape < 0.5:
+            v = rng.randint(1, length)
+            arcs.append(CycleArc(v, v))
+        elif shape < 0.6:
+            lo = rng.randint(1, length)  # every vertex but one
+            arcs.append(CycleArc(lo, (lo + length - 3) % length + 1))
+        else:
+            lo = rng.randint(1, length)
+            span = rng.randint(1, length - 1)
+            arcs.append(CycleArc(lo, (lo + span - 2) % length + 1))
+    return arcs
+
+
+def test_cycle_matches_trying_every_vertex():
+    rng = random.Random(31)
+    wrapping = 0
+    for _ in range(3000):
+        length = rng.randint(3, 16)
+        arcs = random_cycle_arcs(rng, length)
+        wrapping += any(a.lo > a.hi for a in arcs)
+        size, pts = hit_paths_in_cycle(length, arcs)
+        assert size == len(pts) == trying_every_vertex(length, arcs)[0]
+        assert all(1 <= p <= length for p in pts)
+        assert all(any(a.contains(p) for p in pts) for a in arcs)
+    assert wrapping > 1000
