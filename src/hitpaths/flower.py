@@ -15,12 +15,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    ContiguityViolation,
-    FlowerShapeViolation,
-    InvariantViolation,
-    ValidationError,
-)
+from .errors import ContiguityViolation, InvariantViolation, ValidationError
 from .instance_io import Solution, certificate_for
 from .mvsat import GE, LE, SignedFormula, SignedLiteral, solve_tors2sat
 from .treecycle import Interval, chain, distinct_intervals, reach
@@ -43,6 +38,13 @@ class FlowerInstance:
 def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance:
     """Validate and freeze a flower instance, splitting every target at the
     core into per-petal internal spans and core-crossing fragments.
+
+    The petal vertices get slots on one line, petal after petal, with one
+    free slot between petals. A target is then checked in bulk: a run of it
+    outside the core is a path of the flower exactly when its slots step by
+    +1 throughout or by -1 throughout, and a step into or out of the core
+    must land on a core link. A crossing run thus ends at a petal end, so
+    its fragment is a prefix or a suffix.
 
     When core_links is omitted, every petal endpoint is taken to be adjacent
     to the core (the fully wired flower).
@@ -68,53 +70,50 @@ def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance
     if not core_links <= endpoints:
         raise ValidationError("core link that is not a petal endpoint")
 
-    pos = {}
-    for i, p in enumerate(petals):
-        for j, v in enumerate(p):
-            pos[v] = (i, j + 1)
+    # petal i's position j sits at slot starts[i] + j
+    starts, slot, at = [], {}, 0
+    for p in petals:
+        starts.append(at)
+        for v in p:
+            at += 1
+            slot[v] = at
+        at += 1
 
-    def adjacent(u: int, v: int) -> bool:
-        if u == core:
-            return v in core_links
-        if v == core:
-            return u in core_links
-        (pi, pj), (qi, qj) = pos[u], pos[v]
-        return pi == qi and abs(pj - qj) == 1
+    def piece(run) -> Optional[tuple[int, int, int]]:
+        """(petal, lo, hi) of a run whose slots step by +1 or -1 throughout, else None."""
+        a, b = slot[run[0]], slot[run[-1]]
+        step = 1 if a <= b else -1
+        if len(run) > 1 and list(map(slot.__getitem__, run)) != list(range(a, b + step, step)):
+            return None
+        a, b = min(a, b), max(a, b)
+        i = bisect_left(starts, a) - 1
+        return i, a - starts[i], b - starts[i]
 
-    def span(run) -> tuple[int, int, int]:
-        # a validated run of petal vertices is contiguous on one petal
-        (i, a), (_, b) = pos[run[0]], pos[run[-1]]
-        return i, min(a, b), max(a, b)
-
-    frozen_paths = []
+    frozen = list(map(tuple, paths))
     internal: list[list[tuple[int, int]]] = [[] for _ in petals]
     crossing = []
-    for idx, path in enumerate(paths):
-        seq = tuple(path)
-        if not seq or len(set(seq)) != len(seq):
-            raise ValidationError(f"path {idx + 1} is empty or repeats a vertex")
-        if any(v != core and v not in pos for v in seq):
-            raise ValidationError(f"path {idx + 1} leaves the flower")
-        if any(not adjacent(a, b) for a, b in zip(seq, seq[1:])):
-            raise ValidationError(f"path {idx + 1} is not a path of the flower")
-        frozen_paths.append(seq)
-        if core not in seq:
-            i, lo, hi = span(seq)
-            internal[i].append((lo, hi))
+    for idx, seq in enumerate(frozen, 1):
+        if seq == (core,):  # the bare core passes every check
+            crossing.append(())
             continue
-        c = seq.index(core)
-        frags = []
-        for run in (seq[:c], seq[c + 1 :]):
-            if run:
-                i, lo, hi = span(run)
-                if lo != 1 and hi != len(petals[i]):
-                    raise FlowerShapeViolation("core-crossing fragment is not a prefix or suffix")
-                frags.append((i, Interval(lo, hi)))
-        crossing.append(tuple(frags))
+        if not seq or len(set(seq)) != len(seq):
+            raise ValidationError(f"path {idx} is empty or repeats a vertex")
+        if not seen.issuperset(seq):
+            raise ValidationError(f"path {idx} leaves the flower")
+        if core in seq:
+            c = seq.index(core)
+            near = seq[max(c - 1, 0) : c] + seq[c + 1 : c + 2]  # must be core links
+            pieces = list(map(piece, filter(None, (seq[:c], seq[c + 1 :]))))
+        else:
+            near, pieces = (), [piece(seq)]
+        if None in pieces or not core_links.issuperset(near):
+            raise ValidationError(f"path {idx} is not a path of the flower")
+        if core in seq:
+            crossing.append(tuple([(i, Interval(lo, hi)) for i, lo, hi in pieces]))
+        else:
+            internal[pieces[0][0]].append(pieces[0][1:])
     spans = tuple(map(tuple, internal))
-    return FlowerInstance(
-        core, petals, budgets, tuple(frozen_paths), core_links, spans, tuple(crossing)
-    )
+    return FlowerInstance(core, petals, budgets, tuple(frozen), core_links, spans, tuple(crossing))
 
 
 class CanonicalTable(list):

@@ -132,29 +132,42 @@ class ComponentData:
     component: PathComponent
     opt: int
     greedy: frozenset[int]  # positions of an optimum piercing of its targets
+    covered_by: frozenset[int]  # indices of the targets holding all its vertices
 
 
 def component_budgets(g: Graph, s, paths) -> list[ComponentData]:
     """Per component of g - s: its internal targets and their piercing optimum.
 
-    Budget candidates for the branching step are {opt, opt + 1}.
+    Budget candidates for the branching step are {opt, opt + 1}. The one
+    walk over the targets also records which targets cover each component
+    whole, for build_flower_branch, which must be given the same `paths`.
     """
     comps = path_components(g, set(s))
-    where = {}  # vertex -> (component index, 1-based position)
+    comp_of = {}  # vertex -> component index
+    where = {}  # vertex -> 1-based position in its component
     for ci, comp in enumerate(comps):
         for j, v in enumerate(comp.vertices, 1):
-            where[v] = (ci, j)
+            comp_of[v] = ci
+            where[v] = j
     spans: list[list[tuple[int, int]]] = [[] for _ in comps]
-    for p in paths:
-        cells = [where.get(v) for v in p]
-        if None not in cells and len({ci for ci, _ in cells}) == 1:
-            js = [j for _, j in cells]
-            spans[cells[0][0]].append((min(js), max(js)))
+    covered_by: list[set[int]] = [set() for _ in comps]
+    for i, p in enumerate(paths):
+        cids = list(map(comp_of.get, p))
+        for ci in set(cids):
+            if ci is None:
+                continue
+            count = cids.count(ci)
+            if count == len(cids):
+                # a target inside an induced path runs from one end to the other
+                a, b = where[p[0]], where[p[-1]]
+                spans[ci].append((a, b) if a <= b else (b, a))
+            if count == len(comps[ci].vertices):
+                covered_by[ci].add(i)
     out = []
-    for comp, comp_spans in zip(comps, spans):
+    for comp, comp_spans, cover in zip(comps, spans, covered_by):
         ivs = distinct_intervals(comp_spans)
         opt, pts = stab_intervals(len(comp.vertices), ivs)
-        out.append(ComponentData(comp, opt, pts))
+        out.append(ComponentData(comp, opt, pts, frozenset(cover)))
     return out
 
 
@@ -172,51 +185,43 @@ def build_flower_branch(
     positive-budget component, delete zero-budget components while shaving
     their vertices out of the targets, and finally identify the remaining
     high-degree vertices into the core. S' must leave at least one vertex
-    of S for the core.
+    of S for the core. `paths` must be the list component_budgets was given,
+    whose `covered_by` indices tell which targets cover a component. A
+    target's core vertices, contiguous once the deleted vertices are gone,
+    are contracted by slicing.
     """
-    comp_of: dict[int, int] = {}
-    for ci, cd in enumerate(comps):
-        for v in cd.component.vertices:
-            comp_of[v] = ci
     core_set = set(s) - s_prime
     dead = set()  # vertices of zero-budget components
-    for ci, cd in enumerate(comps):
-        if budgets[ci] == 0:
-            dead.update(cd.component.vertices)
-
-    surviving: list[list[int]] = []
-    for p in paths:
-        pv = set(p)
-        if pv & s_prime:
-            continue
-        touched = {comp_of[v] for v in p if v in comp_of}
-        if any(budgets[ci] > 0 and set(comps[ci].component.vertices) <= pv for ci in touched):
-            continue
-        surviving.append([v for v in p if v not in dead])
-
+    covered: set[int] = set()  # targets holding a whole positive-budget component
     petals = []
     petal_budgets = []
     links = set()
-    for ci, cd in enumerate(comps):
-        if budgets[ci] == 0:
+    for cd, budget in zip(comps, budgets):
+        if budget == 0:
+            dead.update(cd.component.vertices)
             continue
+        covered |= cd.covered_by
         petals.append(cd.component.vertices)
-        petal_budgets.append(budgets[ci])
+        petal_budgets.append(budget)
         if cd.component.attach_left in core_set:
             links.add(cd.component.vertices[0])
         if cd.component.attach_right in core_set:
             links.add(cd.component.vertices[-1])
 
     flower_paths = []
-    for p in surviving:
-        seq: list[int] = []
-        for v in p:
-            mapped = core_id if v in core_set else v
-            if not (seq and seq[-1] == core_id and mapped == core_id):
-                seq.append(mapped)
-        if seq.count(core_id) > 1:
-            raise FlowerShapeViolation("target collapses onto the core more than once")
-        flower_paths.append(seq)
+    for i, p in enumerate(paths):
+        if i in covered or not s_prime.isdisjoint(p):
+            continue
+        if not dead.isdisjoint(p):
+            p = [v for v in p if v not in dead]
+        if not core_set.isdisjoint(p):
+            marks = list(map(core_set.__contains__, p))
+            first = marks.index(True)
+            end = first + marks.count(True)
+            if not all(marks[first:end]):
+                raise FlowerShapeViolation("target collapses onto the core more than once")
+            p = [*p[:first], core_id, *p[end:]]
+        flower_paths.append(p)
     try:
         return make_flower(core_id, petals, petal_budgets, flower_paths, links)
     except ValidationError as exc:

@@ -99,13 +99,18 @@ class PathComponent:
 
 
 def is_simple_path(g: Graph, seq: Sequence[int]) -> bool:
-    if len(seq) == 0:
-        return False
-    if len(set(seq)) != len(seq):
-        return False
-    # adjacency keys are exactly 1..n, and a neighbour is always one of them
-    adj = g.adjacency()
-    return seq[0] in adj and all(b in adj[a] for a, b in zip(seq, seq[1:]))
+    return path_in(g.adjacency(), seq)
+
+
+def path_in(adj: dict[int, set[int]], seq: Sequence[int]) -> bool:
+    """Whether seq is a simple path of the graph with adjacency map adj. The
+    steps are checked in bulk and in order, so a vertex is looked up only
+    once the step into it is known to be an edge (keys are exactly 1..n)."""
+    return (
+        0 < len(seq) == len(set(seq))
+        and seq[0] in adj
+        and all(map(set.__contains__, map(adj.__getitem__, seq[:-1]), seq[1:]))
+    )
 
 
 def cyclomatic_number(g: Graph) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import ParseError, ValidationError
-from .graph import Graph, is_simple_path
+from .graph import Graph, path_in
 from .mvsat import SignedFormula, SignedLiteral
 
 KIND_PATHS = "paths"
@@ -54,10 +54,11 @@ def make_instance(graph: Graph, paths, t: int, kind: str = KIND_PATHS) -> HitPat
     if not (0 <= t <= graph.n):
         raise ValidationError(f"budget t={t} out of range 0..{graph.n}")
     frozen = []
+    adj = graph.adjacency()
     for idx, p in enumerate(paths):
         seq = tuple(p)
         if kind == KIND_PATHS:
-            if not is_simple_path(graph, seq):
+            if not path_in(adj, seq):
                 raise ValidationError(f"target {idx + 1} is not a simple path of the graph")
         else:
             seq = tuple(sorted(seq))
@@ -100,18 +101,26 @@ def _content_lines(text: str) -> list[list[str]]:
 
 
 def _int(tok: str, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"bad {what} token {tok!r}") from None
+    """An optionally signed ASCII decimal: on ASCII text without '_', int()
+    takes exactly that (elsewhere also 1_0 and non-ASCII digits)."""
+    if tok.isascii() and "_" not in tok:
+        try:
+            return int(tok)
+        except ValueError:
+            pass
+    raise ParseError(f"bad {what} token {tok!r}")
 
 
 def _ints(tokens, what: str) -> list[int]:
-    """One map(int, ...); token by token only to name a bad one."""
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        return [_int(tok, what) for tok in tokens]
+    """_int over many tokens: one ASCII and '_' test of the joined tokens
+    and one map(int, ...); token by token only to name a bad one."""
+    joined = "".join(tokens)
+    if joined.isascii() and "_" not in joined:
+        try:
+            return list(map(int, tokens))
+        except ValueError:
+            pass
+    return [_int(tok, what) for tok in tokens]
 
 
 def parse_instance(text: str) -> HitPathsInstance:
@@ -123,8 +132,11 @@ def parse_instance(text: str) -> HitPathsInstance:
         raise ParseError(f"bad header {' '.join(header)!r}")
     kind = KIND_PATHS if header[1] == "hitpaths" else KIND_SUBGRAPHS
     n, m, p, t = _ints(header[2:], "header field")
+    # each kind of token is converted in one _ints call per file
     end_tokens: list[str] = []  # the two vertex tokens of every edge line
-    targets = []
+    size_tokens: list[str] = []  # the announced size of every target line
+    vertex_tokens: list[str] = []  # the vertex tokens of all target lines
+    cuts = [0]  # where each target line's vertex tokens end
     for tokens in lines[1:]:
         tag = tokens[0]
         if tag == "e":
@@ -134,14 +146,18 @@ def parse_instance(text: str) -> HitPathsInstance:
         elif tag == "s":
             if len(tokens) < 2:
                 raise ParseError(f"bad target line {' '.join(tokens)!r}")
-            k = _int(tokens[1], "target size")
-            vs = _ints(tokens[2:], "vertex")
-            if k != len(vs):
-                raise ParseError(f"target line announces {k} vertices, has {len(vs)}")
-            targets.append(tuple(vs))
+            size_tokens.append(tokens[1])
+            vertex_tokens += tokens[2:]
+            cuts.append(len(vertex_tokens))
         else:
             raise ParseError(f"unknown line tag {tag!r}")
     ends = _ints(end_tokens, "vertex")
+    vs = _ints(vertex_tokens, "vertex")
+    targets = []
+    for k, a, b in zip(_ints(size_tokens, "target size"), cuts, cuts[1:]):
+        if k != b - a:
+            raise ParseError(f"target line announces {k} vertices, has {b - a}")
+        targets.append(tuple(vs[a:b]))
     edges = list(zip(ends[::2], ends[1::2]))
     if len(edges) != m:
         raise ParseError(f"header announces {m} edges, found {len(edges)}")

@@ -17,6 +17,7 @@ from hitpaths import (
     solve_tors2sat,
     stab_intervals,
 )
+from hitpaths.flower import FlowerInstance
 from hitpaths.oracle import flower_bruteforce
 from hitpaths.treecycle import distinct_intervals
 
@@ -355,3 +356,153 @@ def test_compressed_2sat_matches_uncompressed_formula():
             assert all(sol.chosen.intersection(p) for p in inst.paths)
     # both verdicts must come out of the 2-SAT step itself, often
     assert causes["YES", "2-SAT"] > 300 and causes["NO", "2-SAT"] > 200, causes
+
+
+def adjacent_make_flower(core, petals, budgets, paths, core_links=None):
+    """The earlier make_flower, kept as the reference for the slot check:
+    every step of every target goes through an `adjacent` test."""
+    petals = tuple(tuple(p) for p in petals)
+    budgets = tuple(budgets)
+    if len(budgets) != len(petals):
+        raise ValidationError("one budget per petal required")
+    if any(b < 1 for b in budgets):
+        raise ValidationError("budgets must be at least 1")
+    seen = {core}
+    for p in petals:
+        if not p:
+            raise ValidationError("empty petal")
+        for v in p:
+            if v in seen:
+                raise ValidationError(f"vertex {v} appears twice in the flower")
+            seen.add(v)
+    endpoints = {p[0] for p in petals} | {p[-1] for p in petals}
+    if core_links is None:
+        core_links = endpoints
+    core_links = frozenset(core_links)
+    if not core_links <= endpoints:
+        raise ValidationError("core link that is not a petal endpoint")
+    pos = {}
+    for i, p in enumerate(petals):
+        for j, v in enumerate(p):
+            pos[v] = (i, j + 1)
+
+    def adjacent(u, v):
+        if u == core:
+            return v in core_links
+        if v == core:
+            return u in core_links
+        (pi, pj), (qi, qj) = pos[u], pos[v]
+        return pi == qi and abs(pj - qj) == 1
+
+    def span(run):
+        (i, a), (_, b) = pos[run[0]], pos[run[-1]]
+        return i, min(a, b), max(a, b)
+
+    frozen_paths = []
+    internal = [[] for _ in petals]
+    crossing = []
+    for idx, path in enumerate(paths):
+        seq = tuple(path)
+        if not seq or len(set(seq)) != len(seq):
+            raise ValidationError(f"path {idx + 1} is empty or repeats a vertex")
+        if any(v != core and v not in pos for v in seq):
+            raise ValidationError(f"path {idx + 1} leaves the flower")
+        if any(not adjacent(a, b) for a, b in zip(seq, seq[1:])):
+            raise ValidationError(f"path {idx + 1} is not a path of the flower")
+        frozen_paths.append(seq)
+        if core not in seq:
+            i, lo, hi = span(seq)
+            internal[i].append((lo, hi))
+            continue
+        c = seq.index(core)
+        frags = []
+        for run in (seq[:c], seq[c + 1 :]):
+            if run:
+                i, lo, hi = span(run)
+                if lo != 1 and hi != len(petals[i]):
+                    raise AssertionError("core-crossing fragment is not a prefix or suffix")
+                frags.append((i, Interval(lo, hi)))
+        crossing.append(tuple(frags))
+    return FlowerInstance(
+        core, petals, budgets, tuple(frozen_paths), core_links,
+        tuple(map(tuple, internal)), tuple(crossing),
+    )
+
+
+def corrupt(rng, core, petals, links, path):
+    """One corrupted copy of `path` and the kind of corruption."""
+    kind = rng.choice(
+        ["cross", "gap", "two", "unlinked", "outside", "reverse", "repeat", "empty"]
+    )
+    run = list(path)
+    if kind == "cross":  # a step to a vertex of another petal
+        if len(petals) < 2:
+            return run[::-1], "reverse"
+        a, b = rng.sample(petals, 2)
+        run = [rng.choice(a), rng.choice(b)]
+    elif kind == "gap":  # from one petal's end over the gap to the next petal
+        i = rng.randrange(len(petals))
+        nxt = petals[(i + 1) % len(petals)]
+        run = [petals[i][-1], nxt[0]] + ([nxt[1]] if len(nxt) > 1 and rng.random() < 0.5 else [])
+        run = run[::-1] if rng.random() < 0.5 else run
+    elif kind == "two":  # a step of two positions within a petal
+        petal = rng.choice(petals)
+        if len(petal) < 3:
+            return [petal[0], core, petal[-1]], kind
+        j = rng.randrange(len(petal) - 2)
+        run = [petal[j], petal[j + 2]]
+        if rng.random() < 0.5:
+            run = run[::-1] + [core]
+    elif kind == "unlinked":  # the core next to an endpoint that is no link
+        ends = [v for p in petals for v in (p[0], p[-1]) if v not in links]
+        if not ends:
+            return run + [core + 1], "outside"
+        run = [rng.choice(ends), core] if rng.random() < 0.5 else [core, rng.choice(ends)]
+    elif kind == "outside":
+        run.insert(rng.randint(0, len(run)), rng.choice([0, core + 1, -3]))
+    elif kind == "reverse":  # one run reversed in place
+        c = run.index(core) if core in run else len(run)
+        if rng.random() < 0.5:
+            run[:c] = run[:c][::-1]
+        else:
+            run[c + 1 :] = run[c + 1 :][::-1]
+    elif kind == "repeat":
+        run.insert(rng.randint(0, len(run)), rng.choice(run) if run else core)
+    else:
+        run = []
+    return run, kind
+
+
+def outcome(build, *args):
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def test_slot_check_matches_adjacent_reference():
+    rng = random.Random(101)
+    kinds = Counter()
+    verdicts = Counter()
+    for _ in range(3000):
+        base = random_flower(rng, max_petals=6, max_len=9)
+        paths = [list(p[::-1] if rng.random() < 0.5 else p) for p in base.paths]
+        links = {v for v in base.core_links if rng.random() < 0.7}
+        steps = [(a, b) for p in paths for a, b in zip(p, p[1:])]
+        links |= {a if b == base.core else b for a, b in steps if base.core in (a, b)}
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            if not paths:
+                break
+            i = rng.randrange(len(paths))
+            paths[i], kind = corrupt(rng, base.core, base.petals, links, paths[i])
+            kinds[kind] += 1
+        args = (base.core, base.petals, base.budgets, paths, links)
+        want = outcome(adjacent_make_flower, *args)
+        assert outcome(make_flower, *args) == want
+        verdicts[want[1] if isinstance(want, tuple) else "accepted"] += 1
+    assert min(kinds.values()) > 150, kinds
+    assert verdicts["accepted"] > 500, verdicts
+    messages = Counter(m.split(" ", 2)[-1] for m in verdicts if m != "accepted")
+    assert set(messages) == {
+        "is empty or repeats a vertex", "leaves the flower", "is not a path of the flower"
+    }

@@ -1,5 +1,7 @@
 import random
+import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -9,6 +11,7 @@ from hitpaths import (
     InvariantViolation,
     SolveStats,
     ValidationError,
+    connect_components,
     cyclomatic_number,
     make_instance,
     parse_instance,
@@ -22,7 +25,7 @@ from hitpaths.fpt import (
     build_flower_branch,
     component_budgets,
 )
-from hitpaths.flower import FlowerInstance
+from hitpaths.flower import FlowerInstance, make_flower
 from hitpaths.graph import high_degree_set
 from hitpaths.instance_io import KIND_SUBGRAPHS, unhit_targets
 from hitpaths.oracle import SetSystem, exact_min_hitting_set
@@ -427,3 +430,130 @@ def test_connected_input_runs_one_component_search(monkeypatch):
         assert len(calls) == (1 if connected else 2)
         checked += connected
     assert checked > 100
+
+
+def rebuilding_flower_branch(s, comps, budgets, s_prime, paths, core_id):
+    """The earlier build_flower_branch, kept as the reference: it rebuilds
+    the vertex -> component map per branch, tests whole-component cover
+    with a component-sized set per (target, touched component), and
+    contracts the core vertex by vertex."""
+    comp_of = {}
+    for ci, cd in enumerate(comps):
+        for v in cd.component.vertices:
+            comp_of[v] = ci
+    core_set = set(s) - s_prime
+    dead = set()
+    for ci, cd in enumerate(comps):
+        if budgets[ci] == 0:
+            dead.update(cd.component.vertices)
+    surviving = []
+    for p in paths:
+        pv = set(p)
+        if pv & s_prime:
+            continue
+        touched = {comp_of[v] for v in p if v in comp_of}
+        if any(budgets[ci] > 0 and set(comps[ci].component.vertices) <= pv for ci in touched):
+            continue
+        surviving.append([v for v in p if v not in dead])
+    petals, petal_budgets, links = [], [], set()
+    for ci, cd in enumerate(comps):
+        if budgets[ci] == 0:
+            continue
+        petals.append(cd.component.vertices)
+        petal_budgets.append(budgets[ci])
+        if cd.component.attach_left in core_set:
+            links.add(cd.component.vertices[0])
+        if cd.component.attach_right in core_set:
+            links.add(cd.component.vertices[-1])
+    flower_paths = []
+    for p in surviving:
+        seq = []
+        for v in p:
+            mapped = core_id if v in core_set else v
+            if not (seq and seq[-1] == core_id and mapped == core_id):
+                seq.append(mapped)
+        if seq.count(core_id) > 1:
+            raise FlowerShapeViolation("target collapses onto the core more than once")
+        flower_paths.append(seq)
+    try:
+        return make_flower(core_id, petals, petal_budgets, flower_paths, links)
+    except ValidationError as exc:
+        raise FlowerShapeViolation(str(exc)) from exc
+
+
+def branch_outcome(build, *args):
+    try:
+        return build(*args)
+    except FlowerShapeViolation as exc:
+        return str(exc)
+
+
+def test_flower_branch_matches_rebuilding_reference():
+    # every branch solve enumerates, plus per S' one budget vector that
+    # zeroes random components (emptying their internal targets) and, at
+    # times, a target that jumps between core vertices over one vertex of
+    # a longer component, so that both FlowerShapeViolation causes occur
+    rng = random.Random(103)
+    residuals = 0
+    outcomes = Counter()
+    seed = 0
+    while residuals < 500:
+        seed += 1
+        k = rng.randint(2, 3)
+        n = rng.randint(k + 3, 14)
+        inst = gen_random_instance(
+            GeneratorConfig(seed=5000 + seed, k=k, n=n, num_paths=rng.randint(0, 12),
+                            max_path_len=rng.randint(1, 8), t_policy="random")
+        )
+        pre = preprocess(inst)
+        if pre.graph.n == 0:
+            continue
+        g = connect_components(pre.graph)
+        s = high_degree_set(g)
+        if not s:
+            continue
+        residuals += 1
+        paths = list(pre.paths)
+        inner = [v for v in g.vertices() if v not in s]
+        if len(s) > 1 and inner and rng.random() < 0.3:
+            a, b = rng.sample(s, 2)
+            paths.insert(rng.randint(0, len(paths)), (a, rng.choice(inner), b))
+        comps = component_budgets(g, s, paths)
+        core_id = g.n + 1
+        for s_mask in range((1 << len(s)) - 1):  # S' must leave a core
+            s_prime = {v for i, v in enumerate(s) if s_mask >> i & 1}
+            branches = [
+                [cd.opt + (c_mask >> ci & 1) for ci, cd in enumerate(comps)]
+                for c_mask in range(1 << len(comps))
+            ]
+            branches.append([rng.choice([0, cd.opt, cd.opt + 1]) for cd in comps])
+            for budgets in branches:
+                args = (s, comps, budgets, s_prime, paths, core_id)
+                want = branch_outcome(rebuilding_flower_branch, *args)
+                assert branch_outcome(build_flower_branch, *args) == want
+                if isinstance(want, str):  # named by cause, not by target
+                    outcomes[re.sub(r"^path \d+ ", "", want)] += 1
+                else:
+                    outcomes["flower"] += 1
+    assert outcomes["flower"] > 5000, outcomes
+    assert outcomes["target collapses onto the core more than once"] > 100, outcomes
+    assert outcomes["is empty or repeats a vertex"] > 100, outcomes
+
+
+def test_long_flower_branch_is_linear():
+    # a core vertex with 4 petals of 5,000 vertices, each wired to the core
+    # at both ends, and 20,000 three-vertex targets through the core; the
+    # earlier branch builder built a petal-sized set per target here
+    length, z = 5000, 1
+    petals = [list(range(2 + a * length, 2 + (a + 1) * length)) for a in range(4)]
+    edges = [e for p in petals for e in [(z, p[0]), (p[-1], z), *zip(p, p[1:])]]
+    pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+    targets = [(petals[a][-1], z, petals[b][0]) for a, b in pairs] * 1250
+    inst = make_instance(Graph.build(1 + 4 * length, edges), targets, 4)
+    stats = SolveStats()
+    t0 = time.perf_counter()
+    sol = solve(inst, stats)
+    assert time.perf_counter() - t0 < 2.0
+    check_yes(inst, sol)
+    # the first branch keeps z out and takes one vertex per petal via 2-SAT
+    assert stats.flower_calls == 1 and z not in sol.chosen

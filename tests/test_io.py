@@ -162,3 +162,32 @@ def test_bad_target_vertex_token_is_named():
     # tokens int() accepts still parse as before
     inst = parse_instance("p hitpaths 3 2 1 1\ne 1 2\ne 2 3\ns 3 +1 02 3\n")
     assert inst.paths == ((1, 2, 3),)
+
+
+def test_integers_are_ascii_decimals_only():
+    # int() alone takes digit-group underscores and any Unicode digit
+    for bad in ("1_0", "٣", "３", "²", "+_1", "1__0"):
+        with pytest.raises(ParseError, match=f"bad header field token '{re.escape(bad)}'"):
+            parse_instance(f"p hitpaths {bad} 0 0 0\n")
+        with pytest.raises(ParseError, match=f"bad vertex token '{re.escape(bad)}'"):
+            parse_instance(f"p hitpaths 12 1 0 0\ne 1 {bad}\n")
+        with pytest.raises(ParseError, match=f"bad target size token '{re.escape(bad)}'"):
+            parse_instance(f"p hitpaths 12 0 1 0\ns {bad} 1\n")
+        with pytest.raises(ParseError, match=f"bad vertex token '{re.escape(bad)}'"):
+            parse_instance(f"p hitsub 12 0 1 0\ns 2 1 {bad}\n")
+        with pytest.raises(ParseError, match="bad (variable index|bound) token"):
+            parse_signed_formula(f"p scnf 12 12 1\n+{bad}:1 -1:{bad} 0\n")
+        with pytest.raises(ParseError, match="bad (solution size|vertex) token"):
+            parse_solution(f"s {bad} 1\n")
+        with pytest.raises(ParseError, match=f"bad vertex token '{re.escape(bad)}'"):
+            parse_solution(f"s 2 1 {bad}\n")
+    with pytest.raises(ParseError, match="bad vertex token '1_0'"):
+        parse_instance("p hitpaths 10 0 1 0\ns 1 1_0\n")
+    # signs, leading zeros and comments in any script still parse
+    text = "c résumé of a_b\np hitpaths 3 2 1 -0\ne 1 2\ne +2 03\ns 3 +1 02 3\n"
+    inst = parse_instance(text)
+    assert inst.paths == ((1, 2, 3),) and inst.t == 0
+    assert parse_solution("s 2 +4 007\n").chosen == frozenset({4, 7})
+    assert parse_signed_formula("p scnf 2 3 1\n+01:2 -2:+1 0\n").clauses == (
+        (SignedLiteral(1, GE, 2), SignedLiteral(2, LE, 1)),
+    )
