@@ -68,26 +68,26 @@ class ScalingReport:
 
 
 def run_scaling(ks=(2, 4), repeats=(15, 3)) -> ScalingReport:
+    """Median solve time per k over min(repeats) rounds that take each k in
+    turn (by default 5 k = 2 solves, then one k = 4), so both see the same machine phases."""
+    insts = {k: scaling_instance(k) for k in ks}
     branch_counts: dict[int, int] = {}
-    times: dict[int, float] = {}
-    for k, reps in zip(ks, repeats):
-        inst = scaling_instance(k)
-        samples = []
-        for _ in range(reps):
-            stats = SolveStats()
-            t0 = time.perf_counter()
-            sol = solve(inst, stats=stats)
-            samples.append(time.perf_counter() - t0)
-            if sol.verdict != "YES":
-                raise InvariantViolation(f"scaling instance for k={k} solved as NO")
-            branch_counts[k] = stats.branches_enumerated
-        times[k] = statistics.median(samples)
+    samples: dict[int, list[float]] = {k: [] for k in ks}
+    rounds = min(repeats)
+    for _ in range(rounds):
+        for k, reps in zip(ks, repeats):
+            for _ in range(reps // rounds):
+                stats = SolveStats()
+                t0 = time.perf_counter()
+                sol = solve(insts[k], stats=stats)
+                samples[k].append(time.perf_counter() - t0)
+                if sol.verdict != "YES":
+                    raise InvariantViolation(f"scaling instance for k={k} solved as NO")
+                branch_counts[k] = stats.branches_enumerated
+    times = {k: statistics.median(samples[k]) for k in ks}
     lo, hi = min(ks), max(ks)
     return ScalingReport(
-        branch_counts,
-        times,
-        branch_counts[hi] / branch_counts[lo],
-        times[hi] / times[lo],
+        branch_counts, times, branch_counts[hi] / branch_counts[lo], times[hi] / times[lo]
     )
 
 

@@ -41,10 +41,11 @@ def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance
 
     The petal vertices get slots on one line, petal after petal, with one
     free slot between petals. A target is then checked in bulk: a run of it
-    outside the core is a path of the flower exactly when its slots step by
-    +1 throughout or by -1 throughout, and a step into or out of the core
-    must land on a core link. A crossing run thus ends at a petal end, so
-    its fragment is a prefix or a suffix.
+    outside the core is a path of the flower exactly when it equals the
+    stretch of one petal between the positions of its two ends, read
+    forwards or reversed (one tuple comparison), and a step into or out of
+    the core must land on a core link. A crossing run thus ends at a petal
+    end, so its fragment is a prefix or a suffix.
 
     When core_links is omitted, every petal endpoint is taken to be adjacent
     to the core (the fully wired flower).
@@ -80,14 +81,16 @@ def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance
         at += 1
 
     def piece(run) -> Optional[tuple[int, int, int]]:
-        """(petal, lo, hi) of a run whose slots step by +1 or -1 throughout, else None."""
+        """(petal, lo, hi) of a run equal to a petal's stretch either way round, else None."""
         a, b = slot[run[0]], slot[run[-1]]
-        step = 1 if a <= b else -1
-        if len(run) > 1 and list(map(slot.__getitem__, run)) != list(range(a, b + step, step)):
-            return None
-        a, b = min(a, b), max(a, b)
-        i = bisect_left(starts, a) - 1
-        return i, a - starts[i], b - starts[i]
+        lo, hi = min(a, b), max(a, b)
+        i = bisect_left(starts, lo) - 1
+        lo, hi = lo - starts[i], hi - starts[i]
+        if len(run) > 1:
+            stretch = petals[i][lo - 1 : hi]
+            if run != (stretch if a < b else stretch[::-1]):
+                return None
+        return i, lo, hi
 
     frozen = list(map(tuple, paths))
     internal: list[list[tuple[int, int]]] = [[] for _ in petals]
@@ -100,7 +103,8 @@ def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance
             raise ValidationError(f"path {idx} is empty or repeats a vertex")
         if not seen.issuperset(seq):
             raise ValidationError(f"path {idx} leaves the flower")
-        if core in seq:
+        crosses = core in seq
+        if crosses:
             c = seq.index(core)
             near = seq[max(c - 1, 0) : c] + seq[c + 1 : c + 2]  # must be core links
             pieces = list(map(piece, filter(None, (seq[:c], seq[c + 1 :]))))
@@ -108,7 +112,7 @@ def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance
             near, pieces = (), [piece(seq)]
         if None in pieces or not core_links.issuperset(near):
             raise ValidationError(f"path {idx} is not a path of the flower")
-        if core in seq:
+        if crosses:
             crossing.append(tuple([(i, Interval(lo, hi)) for i, lo, hi in pieces]))
         else:
             internal[pieces[0][0]].append(pieces[0][1:])

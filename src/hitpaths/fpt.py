@@ -60,9 +60,11 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     it is deleted and shaved off the ends of the targets containing it.
 
     Vertices are peeled smallest id first from a heap of the live vertices
-    of degree <= 1 (Batagelj-Zaversnik peeling, with a heap for the order),
-    and each target is trimmed by moving its end pointers, so the whole
-    pass takes O((n + m) log n + sum of target lengths). When no vertex
+    of degree <= 1 (Batagelj-Zaversnik peeling, with a heap for the order)
+    on a map of live degrees over the graph's shared, unmodified adjacency.
+    Each target is trimmed by moving its end pointers, and a vertex on no
+    target skips that work, so the whole pass takes
+    O((n + m) log n + sum of target lengths). When no vertex
     has degree <= 1 the input graph and targets are returned as they are,
     with identity id maps.
     """
@@ -74,7 +76,8 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     if not low:  # nothing peels: the residual is the input
         ids = {v: v for v in g.vertices()}
         return PreprocessResult(g, inst.paths, frozenset(), inst.t, k, ids, dict(ids))
-    adj = {v: set(ns) for v, ns in g.adjacency().items()}
+    adj = g.adjacency()  # shared: read only
+    deg = {v: len(ns) for v, ns in adj.items()}  # degree of each live vertex
     paths = inst.paths
     lo = [0] * len(paths)
     hi = [len(p) for p in paths]
@@ -88,35 +91,35 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     heapq.heapify(low)
     while low:
         v = heapq.heappop(low)
-        ids = [i for i in through.get(v, ()) if live[i]]
-        if any(hi[i] - lo[i] == 1 for i in ids):
-            forced.add(v)
-            t -= 1
-            for i in ids:
-                live[i] = False
-        else:
-            # v has degree <= 1, so it can only sit at the end of a target
-            for i in ids:
-                if paths[i][lo[i]] == v:
-                    lo[i] += 1
-                elif paths[i][hi[i] - 1] == v:
-                    hi[i] -= 1
-                else:
-                    raise InvariantViolation("preprocessing peeled an inner target vertex")
-        for w in adj.pop(v):
-            adj[w].discard(v)
-            if len(adj[w]) == 1:
-                heapq.heappush(low, w)
+        del deg[v]
+        for w in adj[v]:
+            d = deg.get(w)  # None once w is peeled, else at least 1
+            if d:
+                deg[w] = d - 1
+                if d == 2:
+                    heapq.heappush(low, w)
+        if v in through:
+            ids = [i for i in through[v] if live[i]]
+            if any(hi[i] - lo[i] == 1 for i in ids):
+                forced.add(v)
+                t -= 1
+                for i in ids:
+                    live[i] = False
+            else:
+                # v has degree <= 1, so it can only sit at the end of a target
+                for i in ids:
+                    if paths[i][lo[i]] == v:
+                        lo[i] += 1
+                    elif paths[i][hi[i] - 1] == v:
+                        hi[i] -= 1
+                    else:
+                        raise InvariantViolation("preprocessing peeled an inner target vertex")
 
-    old_to_new = {v: i + 1 for i, v in enumerate(sorted(adj))}
+    # relabelling keeps the order, so u < w stays an ordered pair
+    old_to_new = {v: i + 1 for i, v in enumerate(sorted(deg))}
     new_to_old = {i: v for v, i in old_to_new.items()}
-    edges = {
-        (min(old_to_new[u], old_to_new[w]), max(old_to_new[u], old_to_new[w]))
-        for u, ws in adj.items()
-        for w in ws
-        if u < w
-    }
-    residual = Graph(len(adj), frozenset(edges))
+    edges = {(old_to_new[u], old_to_new[w]) for u in deg for w in adj[u] if u < w and w in deg}
+    residual = Graph(len(deg), frozenset(edges))
     if cyclomatic_number(residual) != k:
         raise InvariantViolation("preprocessing changed the cyclomatic number")
     new_paths = tuple(
@@ -146,9 +149,8 @@ def component_budgets(g: Graph, s, paths) -> list[ComponentData]:
     comp_of = {}  # vertex -> component index
     where = {}  # vertex -> 1-based position in its component
     for ci, comp in enumerate(comps):
-        for j, v in enumerate(comp.vertices, 1):
-            comp_of[v] = ci
-            where[v] = j
+        comp_of.update(dict.fromkeys(comp.vertices, ci))
+        where.update(zip(comp.vertices, range(1, len(comp.vertices) + 1)))
     spans: list[list[tuple[int, int]]] = [[] for _ in comps]
     covered_by: list[set[int]] = [set() for _ in comps]
     for i, p in enumerate(paths):
@@ -289,9 +291,13 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
     for s_mask in range(1 << len(s)):
         s_prime = {s[i] for i in range(len(s)) if s_mask >> i & 1}
         base_cost = len(s_prime) + total_opt + nc
-        for c_mask in range(1 << nc):
+        # every mask below the first with `need` opt bits fails the cost filter
+        need = min(max(base_cost - pre.t_remaining, 0), nc)
+        first = (1 << need) - 1
+        stats.branches_enumerated += first
+        for c_mask in range(first, 1 << nc):
             stats.branches_enumerated += 1
-            cost = base_cost - bin(c_mask).count("1")
+            cost = base_cost - c_mask.bit_count()
             if cost > pre.t_remaining:
                 continue
             if c_mask & must_opt_mask != must_opt_mask:

@@ -62,12 +62,13 @@ class Graph:
 
     def components(self, vs: Optional[Iterable[int]] = None) -> list[list[int]]:
         """Connected components of the subgraph induced by vs (default: all
-        vertices) as sorted vertex lists, ordered by smallest id."""
+        vertices) as sorted vertex lists, ordered by smallest id. Without vs
+        the walk follows every edge, with no membership test."""
         adj = self.adjacency()
-        inside = set(self.vertices() if vs is None else vs)
+        inside = None if vs is None else set(vs)
         seen: set[int] = set()
         comps = []
-        for start in sorted(inside):
+        for start in self.vertices() if inside is None else sorted(inside):
             if start in seen:
                 continue
             stack = [start]
@@ -76,8 +77,8 @@ class Graph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in adj[v]:
-                    if w in inside and w not in seen:
+                for w in adj[v] if inside is None else adj[v] & inside:
+                    if w not in seen:
                         seen.add(w)
                         stack.append(w)
             comps.append(sorted(comp))
@@ -134,7 +135,8 @@ def path_components(g: Graph, s: set[int]) -> list[PathComponent]:
 
     Each component is walked once, from its smallest vertex outwards along
     neighbours outside s; a branching vertex or a return to a visited vertex
-    (a cycle) stops the walk.
+    (a cycle) stops the walk. A vertex of degree two steps to the neighbour
+    it was not entered from, without filtering its neighbour set.
     """
     adj = g.adjacency()
     seen: set[int] = set()
@@ -150,7 +152,13 @@ def path_components(g: Graph, s: set[int]) -> list[PathComponent]:
         for half, w in zip(halves, ends):
             prev = v
             while w is not None:
-                ahead = [x for x in adj[w] if x not in s and x != prev]
+                ns = adj[w]
+                if len(ns) == 2:
+                    a, b = ns
+                    nxt = b if a == prev else a
+                    ahead = () if nxt in s else (nxt,)
+                else:
+                    ahead = [x for x in ns if x not in s and x != prev]
                 if w in seen or len(ahead) > 1:
                     raise NotAPath(f"component containing {v} is not an induced path")
                 seen.add(w)

@@ -432,7 +432,8 @@ def adjacent_make_flower(core, petals, budgets, paths, core_links=None):
 def corrupt(rng, core, petals, links, path):
     """One corrupted copy of `path` and the kind of corruption."""
     kind = rng.choice(
-        ["cross", "gap", "two", "unlinked", "outside", "reverse", "repeat", "empty"]
+        ["cross", "gap", "two", "unlinked", "outside", "reverse", "repeat", "empty",
+         "down_to_first", "down_from_last", "pair", "jump"]
     )
     run = list(path)
     if kind == "cross":  # a step to a vertex of another petal
@@ -466,6 +467,33 @@ def corrupt(rng, core, petals, links, path):
             run[:c] = run[:c][::-1]
         else:
             run[c + 1 :] = run[c + 1 :][::-1]
+    elif kind == "down_to_first":  # read backwards to position 1, at times into the core
+        petal = rng.choice(petals)
+        run = list(petal[: rng.randint(min(2, len(petal)), len(petal))][::-1])
+        run += [core] if rng.random() < 0.5 else []
+    elif kind == "down_from_last":  # backwards from position L, at times out of the core
+        petal = rng.choice(petals)
+        run = list(petal[-rng.randint(min(2, len(petal)), len(petal)) :][::-1])
+        run = [core] + run if rng.random() < 0.5 else run
+    elif kind == "pair":  # two vertices of one petal, adjacent or not, either way round
+        petal = rng.choice(petals)
+        if len(petal) < 2:
+            return [core, petal[0]], kind
+        j = rng.randrange(len(petal) - 1)
+        run = [petal[j], petal[j + 1]] if rng.random() < 0.5 else rng.sample(petal, 2)
+        run = run[::-1] if rng.random() < 0.5 else run
+    elif kind == "jump":  # as long as its end slots are apart, over the gap to the next petal
+        if len(petals) < 2:
+            return run[::-1], "reverse"
+        i = rng.randrange(len(petals) - 1)
+        a, b = petals[i], petals[i + 1]
+        head, tail = list(a[-rng.randint(1, len(a)) :]), list(b[: rng.randint(1, len(b))])
+        # the filler stands where the free slot between the petals is
+        rest = [v for p in petals for v in p if v not in head and v not in tail]
+        if not rest:
+            return run[::-1], "reverse"
+        run = head + [rng.choice(rest)] + tail
+        run = run[::-1] if rng.random() < 0.5 else run
     elif kind == "repeat":
         run.insert(rng.randint(0, len(run)), rng.choice(run) if run else core)
     else:
@@ -484,7 +512,7 @@ def test_slot_check_matches_adjacent_reference():
     rng = random.Random(101)
     kinds = Counter()
     verdicts = Counter()
-    for _ in range(3000):
+    for _ in range(4000):
         base = random_flower(rng, max_petals=6, max_len=9)
         paths = [list(p[::-1] if rng.random() < 0.5 else p) for p in base.paths]
         links = {v for v in base.core_links if rng.random() < 0.7}

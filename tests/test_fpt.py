@@ -21,11 +21,12 @@ from hitpaths import (
 from hitpaths.bench import scaling_instance
 from hitpaths.fpt import (
     PreprocessResult,
+    _fill_component,
     _positions_to_arc,
     build_flower_branch,
     component_budgets,
 )
-from hitpaths.flower import FlowerInstance, make_flower
+from hitpaths.flower import FlowerInstance, make_flower, solve_flower
 from hitpaths.graph import high_degree_set
 from hitpaths.instance_io import KIND_SUBGRAPHS, unhit_targets
 from hitpaths.oracle import SetSystem, exact_min_hitting_set
@@ -557,3 +558,117 @@ def test_long_flower_branch_is_linear():
     check_yes(inst, sol)
     # the first branch keeps z out and takes one vertex per petal via 2-SAT
     assert stats.flower_calls == 1 and z not in sol.chosen
+
+
+def scanning_solve(inst):
+    """solve's branch engine with the earlier mask scan, kept as the
+    reference: every c_mask from 0 up, its opt bits counted through bin().
+    Only for instances whose residual reaches the branch scan."""
+    stats = SolveStats()
+    pre = preprocess(inst)
+    g = connect_components(pre.graph)
+    s = high_degree_set(g)
+    comps = component_budgets(g, s, pre.paths)
+    total_opt = sum(cd.opt for cd in comps)
+    nc = len(comps)
+    must_opt_mask = 0
+    for ci, cd in enumerate(comps):
+        if cd.opt + 1 > len(cd.component.vertices):
+            must_opt_mask |= 1 << ci
+    for s_mask in range(1 << len(s)):
+        s_prime = {s[i] for i in range(len(s)) if s_mask >> i & 1}
+        base_cost = len(s_prime) + total_opt + nc
+        for c_mask in range(1 << nc):
+            stats.branches_enumerated += 1
+            cost = base_cost - bin(c_mask).count("1")
+            if cost > pre.t_remaining:
+                continue
+            if c_mask & must_opt_mask != must_opt_mask:
+                continue
+            stats.branches_after_filter += 1
+            budgets = [cd.opt if c_mask >> ci & 1 else cd.opt + 1 for ci, cd in enumerate(comps)]
+            if len(s_prime) == len(s):
+                chosen = set(s_prime)
+                for cd, budget in zip(comps, budgets):
+                    if budget > 0:
+                        chosen |= _fill_component(cd, budget)
+            else:
+                stats.flower_calls += 1
+                branch = build_flower_branch(s, comps, budgets, s_prime, pre.paths, g.n + 1)
+                fsol = solve_flower(branch)
+                if fsol.verdict != "YES":
+                    continue
+                chosen = s_prime | set(fsol.chosen)
+            stats.solution_cost = cost
+            return stats, frozenset(pre.forced | {pre.new_to_old[v] for v in chosen})
+    return stats, None
+
+
+def petal_instance(rng, petals, crossing):
+    """Core vertex 1 and `petals` cycles through it of 2-6 further vertices,
+    each holding 1-3 short internal targets, plus `crossing` targets that
+    step through the core from one petal's end into another petal."""
+    edges, targets, rings, nxt = [], [], [], 2
+    for _ in range(petals):
+        ring = list(range(nxt, nxt + rng.randint(2, 6)))
+        nxt += len(ring)
+        edges += [(1, ring[0]), *zip(ring, ring[1:]), (ring[-1], 1)]
+        for _ in range(rng.randint(1, 3)):
+            lo = rng.randrange(len(ring))
+            targets.append(tuple(ring[lo : lo + rng.randint(1, 3)]))
+        rings.append(ring)
+    for _ in range(crossing):
+        a, b = rng.sample(rings, 2)
+        targets.append((*a[-rng.randint(1, 2) :], 1, *b[: rng.randint(1, 2)]))
+    return Graph.build(nxt - 1, edges), targets
+
+
+def assert_same_scan(inst):
+    stats = SolveStats()
+    sol = solve(inst, stats)
+    want_stats, want_chosen = scanning_solve(inst)
+    assert (stats.branches_enumerated, stats.branches_after_filter, stats.flower_calls,
+            stats.solution_cost) == (want_stats.branches_enumerated,
+            want_stats.branches_after_filter, want_stats.flower_calls,
+            want_stats.solution_cost)
+    assert (sol.chosen if sol.verdict == "YES" else None) == want_chosen
+    return stats
+
+
+def test_branch_scan_matches_full_mask_reference():
+    rng = random.Random(211)
+    verdicts = Counter()
+    for _ in range(12):
+        g, targets = petal_instance(rng, rng.randint(8, 12), rng.randint(0, 4))
+        sets = SetSystem.build(g.n, [frozenset(p) for p in targets])
+        opt, _ = exact_min_hitting_set(sets, g.n)
+        for t in (opt - 1, opt, opt + 1, opt + 2):
+            stats = assert_same_scan(make_instance(g, targets, t))
+            verdicts[stats.solution_cost is not None] += 1
+    assert verdicts[False] == 12 and verdicts[True] == 36
+    residuals = 0
+    seed = 0
+    while residuals < 300:
+        seed += 1
+        k = rng.randint(2, 4)
+        inst = gen_random_instance(
+            GeneratorConfig(seed=9000 + seed, k=k, n=rng.randint(k + 3, 16),
+                            num_paths=rng.randint(0, 12), max_path_len=rng.randint(1, 6),
+                            t_policy=rng.choice(["random", "opt", "opt-1", "opt+1"]))
+        )
+        pre = preprocess(inst)
+        if pre.t_remaining < 0 or not high_degree_set(connect_components(pre.graph)):
+            continue  # solve answers before the branch scan
+        residuals += 1
+        verdicts[assert_same_scan(inst).solution_cost is not None] += 1
+    assert verdicts[False] > 50 and verdicts[True] > 100, verdicts
+
+
+def test_twelve_petal_flower_scans_one_all_opt_mask():
+    # no crossing target, so some optimum leaves the core out: at t = opt
+    # the scan reaches the all-opt mask of S' = {} as its only branch
+    g, targets = petal_instance(random.Random(5), 12, 0)
+    sets = SetSystem.build(g.n, [frozenset(p) for p in targets])
+    opt, _ = exact_min_hitting_set(sets, g.n)
+    stats = assert_same_scan(make_instance(g, targets, opt))
+    assert stats.branches_enumerated == 4096 and stats.branches_after_filter == 1

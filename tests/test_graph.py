@@ -182,3 +182,56 @@ def test_path_components_rejects_cycles_and_branching():
         for fn in (path_components, components_then_walk):
             with pytest.raises(NotAPath):
                 fn(g, s)
+
+
+def dfs_components(g, vs=None):
+    """The earlier Graph.components, kept as the reference: a membership
+    test against a set of all vertices when vs is omitted."""
+    adj = g.adjacency()
+    inside = set(g.vertices() if vs is None else vs)
+    seen = set()
+    comps = []
+    for start in sorted(inside):
+        if start in seen:
+            continue
+        stack = [start]
+        seen.add(start)
+        comp = []
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if w in inside and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def test_components_match_dfs_reference():
+    rng = random.Random(31)
+    several = isolated = 0
+    for _ in range(1200):
+        n = rng.randint(0, 40)
+        # a few random trees over shuffled vertices, plus a few extra edges
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        edges = set()
+        for v in range(1, n):
+            if rng.random() < 0.8:
+                u = perm[rng.randrange(v)]
+                edges.add((min(u, perm[v]), max(u, perm[v])))
+        for _ in range(rng.randint(0, 4)):
+            u, v = rng.sample(range(1, n + 1), 2) if n >= 2 else (0, 0)
+            if u:
+                edges.add((min(u, v), max(u, v)))
+        g = Graph.build(n, edges)
+        want = dfs_components(g)
+        assert g.components() == want
+        several += len(want) > 2
+        isolated += any(len(c) == 1 for c in want)
+        for _ in range(2):
+            vs = [v for v in g.vertices() if rng.random() < 0.6]
+            rng.shuffle(vs)
+            assert g.components(vs) == dfs_components(g, vs)
+    assert several > 300 and isolated > 300
