@@ -1,11 +1,10 @@
 """Exact solvers for hitting prescribed simple paths in graphs of small
-cyclomatic number, with flower-graph and signed 2-SAT machinery, reference
-oracles, hardness-construction generators, and a CLI."""
+cyclomatic number, with flower-graph and signed 2-SAT machinery, a reference
+oracle, hardness-construction generators, and a CLI."""
 
 from .errors import (
     CapExceeded,
     ClauseTooWide,
-    ContiguityViolation,
     FlowerShapeViolation,
     HitPathsError,
     InfeasibleConfig,
@@ -29,7 +28,6 @@ from .graph import (
     connect_components,
     cyclomatic_number,
     high_degree_set,
-    is_simple_path,
     path_components,
 )
 from .instance_io import (
@@ -51,12 +49,11 @@ from .mvsat import (
     BoolCnf,
     SignedFormula,
     SignedLiteral,
-    enumerate_signed,
     signed_to_classical,
     solve_2sat,
     solve_tors2sat,
 )
-from .oracle import SetSystem, exact_min_hitting_set, flower_bruteforce, has_k_clique
+from .oracle import SetSystem, exact_min_hitting_set
 from .reductions import (
     GeneratorConfig,
     clique_to_signed3sat,

@@ -67,25 +67,27 @@ class ScalingReport:
     time_ratio: float
 
 
-def run_scaling(ks=(2, 4), repeats=(15, 3)) -> ScalingReport:
-    """Median solve time per k over min(repeats) rounds that take each k in
-    turn (by default 5 k = 2 solves, then one k = 4), so both see the same machine phases."""
-    insts = {k: scaling_instance(k) for k in ks}
+SCALING_ROUND = (2, 2, 2, 2, 2, 4)  # the k of each solve in one of 3 scaling rounds
+AGREEMENT_KS = (0, 1, 2, 3, 4)  # the agreement suite's k, taken in turn by seed
+
+
+def run_scaling() -> ScalingReport:
+    """Median solve time per k over 3 rounds of SCALING_ROUND, which takes
+    the k in turn, so that each k sees the same machine phases."""
+    insts = {k: scaling_instance(k) for k in sorted(set(SCALING_ROUND))}
     branch_counts: dict[int, int] = {}
-    samples: dict[int, list[float]] = {k: [] for k in ks}
-    rounds = min(repeats)
-    for _ in range(rounds):
-        for k, reps in zip(ks, repeats):
-            for _ in range(reps // rounds):
-                stats = SolveStats()
-                t0 = time.perf_counter()
-                sol = solve(insts[k], stats=stats)
-                samples[k].append(time.perf_counter() - t0)
-                if sol.verdict != "YES":
-                    raise InvariantViolation(f"scaling instance for k={k} solved as NO")
-                branch_counts[k] = stats.branches_enumerated
-    times = {k: statistics.median(samples[k]) for k in ks}
-    lo, hi = min(ks), max(ks)
+    samples: dict[int, list[float]] = {k: [] for k in insts}
+    for _ in range(3):
+        for k in SCALING_ROUND:
+            stats = SolveStats()
+            t0 = time.perf_counter()
+            sol = solve(insts[k], stats=stats)
+            samples[k].append(time.perf_counter() - t0)
+            if sol.verdict != "YES":
+                raise InvariantViolation(f"scaling instance for k={k} solved as NO")
+            branch_counts[k] = stats.branches_enumerated
+    times = {k: statistics.median(samples[k]) for k in insts}
+    lo, hi = min(insts), max(insts)
     return ScalingReport(
         branch_counts, times, branch_counts[hi] / branch_counts[lo], times[hi] / times[lo]
     )
@@ -100,7 +102,7 @@ class AgreementReport:
     max_branches: int
 
 
-def run_agreement(count: int, base_seed: int = 0, ks=(0, 1, 2, 3, 4)) -> AgreementReport:
+def run_agreement(count: int, base_seed: int = 0) -> AgreementReport:
     """Solve seeded random instances with both the FPT solver and the
     branch-and-bound oracle; verdicts must coincide everywhere."""
     mismatches = []
@@ -109,7 +111,7 @@ def run_agreement(count: int, base_seed: int = 0, ks=(0, 1, 2, 3, 4)) -> Agreeme
     max_branches = 0
     for idx in range(count):
         seed = base_seed + idx
-        inst = _agreement_instance(seed, ks)
+        inst = _agreement_instance(seed)
         stats = SolveStats()
         t0 = time.perf_counter()
         sol = solve(inst, stats=stats)
@@ -125,11 +127,11 @@ def run_agreement(count: int, base_seed: int = 0, ks=(0, 1, 2, 3, 4)) -> Agreeme
     return AgreementReport(count, agreements, mismatches, statistics.median(times), max_branches)
 
 
-def _agreement_instance(seed: int, ks) -> HitPathsInstance:
+def _agreement_instance(seed: int) -> HitPathsInstance:
     import random
 
     rng = random.Random(seed ^ 0x5EED)
-    k = ks[seed % len(ks)]
+    k = AGREEMENT_KS[seed % len(AGREEMENT_KS)]
     n = rng.randint(max(3, k + 1), 18)
     while (n * (n - 1)) // 2 - (n - 1) < k:
         n += 1

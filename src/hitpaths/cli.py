@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .bench import run_agreement, run_scaling
-from .errors import HitPathsError
+from .errors import HitPathsError, ParseError
 from .fpt import SolveStats, solve
 from .instance_io import (
     parse_instance,
@@ -81,8 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _emit(text: str, out_path=None) -> None:
@@ -210,6 +213,8 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.verb == "bench" and args.count < 1:
+            parser.error(f"argument --count: {args.count} is below 1")
     except SystemExit as exc:
         return EXIT_ERROR if exc.code else EXIT_YES
     try:

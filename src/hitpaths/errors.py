@@ -25,10 +25,6 @@ class CapExceeded(HitPathsError):
     """An enumeration would exceed its configured work cap."""
 
 
-class ContiguityViolation(HitPathsError):
-    """Well-defined canonical indices failed to form a contiguous range."""
-
-
 class FlowerShapeViolation(HitPathsError):
     """Branch construction did not yield a flower with simple target paths."""
 

@@ -15,10 +15,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ContiguityViolation, InvariantViolation, ValidationError
+from .errors import InvariantViolation, ValidationError
 from .instance_io import Solution, certificate_for
 from .mvsat import GE, LE, SignedFormula, SignedLiteral, solve_tors2sat
-from .treecycle import Interval, chain, distinct_intervals, reach
+from .treecycle import Interval, chain, reach
 
 
 @dataclass(frozen=True)
@@ -203,15 +203,14 @@ def solve_flower(inst: FlowerInstance) -> Solution:
     tables = []
     clauses: list[tuple[SignedLiteral, ...]] = []
     for i, petal in enumerate(inst.petals):
-        # dedupe identical internal intervals; hitting one hits all copies
-        ivs = distinct_intervals(inst.internal[i])
+        ivs = [Interval(lo, hi) for lo, hi in inst.internal[i]]
         table = canonical_table(len(petal), ivs, inst.budgets[i])
         tables.append(table)
         if not table.maxima:
             return Solution("NO")
         last = table.first + len(table.maxima) - 1
         if None in table[table.first : last + 1]:
-            raise ContiguityViolation(f"petal {i + 1} has gaps in its canonical indices")
+            raise InvariantViolation(f"petal {i + 1} has gaps in its canonical indices")
         clauses.append((SignedLiteral(i + 1, GE, table.first),))
         clauses.append((SignedLiteral(i + 1, LE, last),))
 

@@ -27,7 +27,7 @@ from .graph import (
     path_components,
 )
 from .instance_io import KIND_PATHS, HitPathsInstance, Solution, certificate_for
-from .treecycle import CycleArc, distinct_intervals, hit_paths_in_cycle, stab_intervals
+from .treecycle import CycleArc, Interval, hit_paths_in_cycle, stab_intervals
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     with identity id maps.
     """
     if inst.kind != KIND_PATHS:
-        raise ValidationError("preprocessing applies to path instances only")
+        raise ValidationError("the FPT solver handles path targets only")
     g = inst.graph
     k = cyclomatic_number(g)
     low = [v for v, ns in g.adjacency().items() if len(ns) <= 1]
@@ -151,7 +151,7 @@ def component_budgets(g: Graph, s, paths) -> list[ComponentData]:
     for ci, comp in enumerate(comps):
         comp_of.update(dict.fromkeys(comp.vertices, ci))
         where.update(zip(comp.vertices, range(1, len(comp.vertices) + 1)))
-    spans: list[list[tuple[int, int]]] = [[] for _ in comps]
+    spans: list[list[Interval]] = [[] for _ in comps]
     covered_by: list[set[int]] = [set() for _ in comps]
     for i, p in enumerate(paths):
         cids = list(map(comp_of.get, p))
@@ -162,13 +162,12 @@ def component_budgets(g: Graph, s, paths) -> list[ComponentData]:
             if count == len(cids):
                 # a target inside an induced path runs from one end to the other
                 a, b = where[p[0]], where[p[-1]]
-                spans[ci].append((a, b) if a <= b else (b, a))
+                spans[ci].append(Interval(a, b) if a <= b else Interval(b, a))
             if count == len(comps[ci].vertices):
                 covered_by[ci].add(i)
     out = []
     for comp, comp_spans, cover in zip(comps, spans, covered_by):
-        ivs = distinct_intervals(comp_spans)
-        opt, pts = stab_intervals(len(comp.vertices), ivs)
+        opt, pts = stab_intervals(len(comp.vertices), comp_spans)
         out.append(ComponentData(comp, opt, pts, frozenset(cover)))
     return out
 
@@ -253,9 +252,7 @@ def _finish(inst: HitPathsInstance, chosen: set[int]) -> Solution:
 
 
 def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solution:
-    """Decide whether some vertex set of size at most t hits every target."""
-    if inst.kind != KIND_PATHS:
-        raise ValidationError("the FPT solver handles path targets only")
+    """Decide whether some vertex set of size at most t hits every path target."""
     if stats is None:
         stats = SolveStats()
     pre = preprocess(inst)

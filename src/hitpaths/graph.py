@@ -56,10 +56,6 @@ class Graph:
             object.__setattr__(self, "_adjacency", adj)
         return adj
 
-    def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in self.edges
-
     def components(self, vs: Optional[Iterable[int]] = None) -> list[list[int]]:
         """Connected components of the subgraph induced by vs (default: all
         vertices) as sorted vertex lists, ordered by smallest id. Without vs
@@ -97,10 +93,6 @@ class PathComponent:
     vertices: tuple[int, ...]
     attach_left: Optional[int]
     attach_right: Optional[int]
-
-
-def is_simple_path(g: Graph, seq: Sequence[int]) -> bool:
-    return path_in(g.adjacency(), seq)
 
 
 def path_in(adj: dict[int, set[int]], seq: Sequence[int]) -> bool:

@@ -163,8 +163,6 @@ def parse_instance(text: str) -> HitPathsInstance:
         raise ParseError(f"header announces {m} edges, found {len(edges)}")
     if len(targets) != p:
         raise ParseError(f"header announces {p} targets, found {len(targets)}")
-    if t < 0 or t > n:
-        raise ValidationError(f"budget t={t} out of range 0..{n}")
     graph = Graph.build(n, edges)
     return make_instance(graph, targets, t, kind)
 
@@ -199,14 +197,8 @@ def parse_signed_formula(text: str) -> SignedFormula:
             if len(tok) < 4 or tok[0] not in "+-" or ":" not in tok:
                 raise ParseError(f"bad literal token {tok!r}")
             var_s, _, bound_s = tok[1:].partition(":")
-            var = _int(var_s, "variable index")
-            bound = _int(bound_s, "bound")
-            if not (1 <= var <= n):
-                raise ValidationError(f"variable x_{var} out of range 1..{n}")
-            if not (1 <= bound <= nvals):
-                raise ValidationError(f"bound {bound} out of range 1..{nvals}")
             op = ">=" if tok[0] == "+" else "<="
-            lits.append(SignedLiteral(var, op, bound))
+            lits.append(SignedLiteral(_int(var_s, "variable index"), op, _int(bound_s, "bound")))
         clauses.append(tuple(lits))
     if len(clauses) != c:
         raise ParseError(f"header announces {c} clauses, found {len(clauses)}")

@@ -3,8 +3,7 @@
 Variables x_1..x_n take values in [N]; literals constrain a variable with
 x_i >= b or x_i <= b. Width-2 formulas are decided by translation to
 classical 2-SAT (boolean variables B_{i,j} meaning "x_i >= j") followed by
-a linear-time implication-graph solver. An exhaustive enumerator with
-pruning serves as the oracle for arbitrary clause widths.
+a linear-time implication-graph solver.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import CapExceeded, ClauseTooWide, InvariantViolation, ValidationError
+from .errors import ClauseTooWide, InvariantViolation, ValidationError
 
 GE = ">="
 LE = "<="
@@ -188,38 +187,3 @@ def solve_tors2sat(f: SignedFormula) -> Optional[tuple[int, ...]]:
     if not satisfies(f, values):
         raise InvariantViolation("decoded 2-SAT model does not satisfy the signed formula")
     return values
-
-
-def enumerate_signed(f: SignedFormula, cap: int = 10**8) -> Optional[tuple[int, ...]]:
-    """First satisfying assignment in lexicographic order, or None.
-
-    Scans the full N^n space in lexicographic order but prunes a prefix as
-    soon as some clause has all its literals falsified by assigned
-    variables; this never skips a satisfying assignment, so the returned
-    one is still the lexicographically first.
-    """
-    n, nvals = f.num_vars, f.num_values
-    if nvals**n > cap:
-        raise CapExceeded(f"{nvals}^{n} exceeds cap {cap}")
-    if any(len(c) == 0 for c in f.clauses):
-        return None
-    # clause index -> checked once its highest variable is assigned
-    by_maxvar: list[list[tuple[SignedLiteral, ...]]] = [[] for _ in range(n + 1)]
-    for clause in f.clauses:
-        by_maxvar[max(lit.var for lit in clause)].append(clause)
-
-    values = [0] * n  # 0 marks an unassigned variable
-    depth = 0
-    while depth >= 0:
-        if depth == n:
-            return tuple(values)
-        values[depth] += 1
-        if values[depth] > nvals:
-            values[depth] = 0
-            depth -= 1
-        elif all(
-            any(lit.holds(values[lit.var - 1]) for lit in clause)
-            for clause in by_maxvar[depth + 1]
-        ):
-            depth += 1
-    return None

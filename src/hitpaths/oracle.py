@@ -1,22 +1,19 @@
-"""Brute-force reference solvers used for cross-validation.
+"""Brute-force reference solver used for cross-validation.
 
 Small and slow on purpose: a bounded search tree for minimum hitting set
-over arbitrary set families, exhaustive exact-budget enumeration for
-flowers, and naive clique search.
+over arbitrary set families. It backs the `oracle` verb, the check of a NO
+claim in `verify`, the agreement harness, and the random generator's
+budget policies.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CapExceeded, ValidationError
-from .flower import FlowerInstance
-from .graph import Graph
-from .instance_io import Solution, certificate_for
+from .instance_io import Solution
 
 
 def default_cap() -> int:
@@ -82,39 +79,6 @@ def exact_min_hitting_set(
             return best_size, best
         chosen.append(v)
         members.add(v)
-
-
-def flower_bruteforce(inst: FlowerInstance, cap: Optional[int] = None) -> Solution:
-    """Enumerate all exact-budget petal subsets; first hit combination wins."""
-    if cap is None:
-        cap = default_cap()
-    work = math.prod(
-        math.comb(len(p), b) for p, b in zip(inst.petals, inst.budgets)
-    )
-    if work > cap:
-        raise CapExceeded(f"{work} combinations exceed cap {cap}")
-    if any(b > len(p) for p, b in zip(inst.petals, inst.budgets)):
-        return Solution("NO")
-    pools = [
-        list(itertools.combinations(sorted(p), b))
-        for p, b in zip(inst.petals, inst.budgets)
-    ]
-    for combo in itertools.product(*pools):
-        chosen = frozenset(v for part in combo for v in part)
-        cert = certificate_for(inst.paths, chosen)
-        if cert is not None:
-            return Solution("YES", chosen, cert)
-    return Solution("NO")
-
-
-def has_k_clique(g: Graph, k: int) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """Exhaustive scan over k-subsets in lexicographic order."""
-    if k < 1:
-        raise ValidationError("k must be at least 1")
-    for combo in itertools.combinations(g.vertices(), k):
-        if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
-            return True, combo
-    return False, None
 
 
 def reference_verdict(inst) -> Solution:

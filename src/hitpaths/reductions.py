@@ -99,6 +99,24 @@ def _simplify_clauses(f: SignedFormula) -> list[tuple[SignedLiteral, ...]]:
     return out
 
 
+def _variable_petals(f: SignedFormula):
+    """What both 3-SAT constructions share: petal i is the path of vertices
+    (i - 1) * N + 1 .. i * N, one per truth value, and is itself a target;
+    each simplified clause becomes the petal fragments of its literals."""
+    n, nvals = f.num_vars, f.num_values
+    if n < 1:
+        raise ValidationError("at least one variable required")
+    petals = [range((i - 1) * nvals + 1, i * nvals + 1) for i in range(1, n + 1)]
+    edges = [(v, v + 1) for petal in petals for v in petal[:-1]]
+
+    def fragment(lit: SignedLiteral) -> range:
+        petal = petals[lit.var - 1]
+        return petal[: lit.bound] if lit.op == LE else petal[lit.bound - 1 :]
+
+    clause_frags = [list(map(fragment, clause)) for clause in _simplify_clauses(f)]
+    return petals, edges, [tuple(petal) for petal in petals], clause_frags
+
+
 def signed3sat_to_subtree_instance(f: SignedFormula) -> HitPathsInstance:
     """Flower whose 3-leaf subtrees encode clauses; feasible at t = n iff SAT.
 
@@ -106,34 +124,12 @@ def signed3sat_to_subtree_instance(f: SignedFormula) -> HitPathsInstance:
     the petal, joined through the core, forms the clause subgraph. Each full
     petal is also a target, pinning one pick per variable.
     """
-    n, nvals = f.num_vars, f.num_values
-    if n < 1:
-        raise ValidationError("at least one variable required")
-    clauses = _simplify_clauses(f)
-    z = n * nvals + 1
-
-    def vid(i: int, j: int) -> int:
-        return (i - 1) * nvals + j
-
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(1, nvals):
-            edges.append((vid(i, j), vid(i, j + 1)))
-        edges.append((z, vid(i, 1)))
-        if nvals > 1:
-            edges.append((z, vid(i, nvals)))
-    graph = Graph.build(z, edges)
-
-    targets = []
-    for i in range(1, n + 1):
-        targets.append(tuple(vid(i, j) for j in range(1, nvals + 1)))
-    for clause in clauses:
-        vs = {z}
-        for lit in clause:
-            rng = range(1, lit.bound + 1) if lit.op == LE else range(lit.bound, nvals + 1)
-            vs.update(vid(lit.var, j) for j in rng)
-        targets.append(tuple(sorted(vs)))
-    return make_instance(graph, targets, n, KIND_SUBGRAPHS)
+    petals, edges, targets, clause_frags = _variable_petals(f)
+    z = f.num_vars * f.num_values + 1
+    for petal in petals:
+        edges += {(z, petal[0]), (z, petal[-1])}
+    targets += [tuple(sorted({z}.union(*frags))) for frags in clause_frags]
+    return make_instance(Graph.build(z, edges), targets, f.num_vars, KIND_SUBGRAPHS)
 
 
 def signed3sat_to_fvs2_instance(f: SignedFormula) -> HitPathsInstance:
@@ -143,44 +139,15 @@ def signed3sat_to_fvs2_instance(f: SignedFormula) -> HitPathsInstance:
     z'; removing {z, z'} leaves the disjoint variable paths, so the output
     has feedback vertex set of size two.
     """
-    n, nvals = f.num_vars, f.num_values
-    if n < 1:
-        raise ValidationError("at least one variable required")
-    clauses = _simplify_clauses(f)
-    z = n * nvals + 1
-    z_prime = z + 1
-
-    def vid(i: int, j: int) -> int:
-        return (i - 1) * nvals + j
-
-    edges = []
-    for i in range(1, n + 1):
-        for j in range(1, nvals):
-            edges.append((vid(i, j), vid(i, j + 1)))
-    for i in range(1, n + 1):
-        for j in range(1, nvals + 1):
-            edges.append((z, vid(i, j)))
-            edges.append((z_prime, vid(i, j)))
-    graph = Graph.build(z_prime, edges)
-
-    targets = []
-    for i in range(1, n + 1):
-        targets.append(tuple(vid(i, j) for j in range(1, nvals + 1)))
-    separators = (z, z_prime)
-    for clause in clauses:
-        frags = []
-        for lit in clause:
-            rng = range(1, lit.bound + 1) if lit.op == LE else range(lit.bound, nvals + 1)
-            frags.append([vid(lit.var, j) for j in rng])
-        if not frags:
-            targets.append((z,))
-            continue
-        walk = list(frags[0])
-        for idx, frag in enumerate(frags[1:]):
-            walk.append(separators[idx])
-            walk.extend(frag)
+    petals, edges, targets, clause_frags = _variable_petals(f)
+    z = f.num_vars * f.num_values + 1
+    edges += [(w, v) for w in (z, z + 1) for petal in petals for v in petal]
+    for frags in clause_frags:
+        walk = list(frags[0]) if frags else [z]
+        for separator, frag in zip((z, z + 1), frags[1:]):
+            walk += [separator, *frag]
         targets.append(tuple(walk))
-    return make_instance(graph, targets, n, KIND_PATHS)
+    return make_instance(Graph.build(z + 1, edges), targets, f.num_vars, KIND_PATHS)
 
 
 @dataclass(frozen=True)

@@ -27,9 +27,6 @@ class Interval:
         if self.lo > self.hi:
             raise ValidationError(f"interval [{self.lo},{self.hi}] is reversed")
 
-    def contains(self, pos: int) -> bool:
-        return self.lo <= pos <= self.hi
-
 
 @dataclass(frozen=True)
 class CycleArc:
@@ -39,20 +36,10 @@ class CycleArc:
     lo: int
     hi: int
 
-    def contains(self, pos: int) -> bool:
-        if self.lo <= self.hi:
-            return self.lo <= pos <= self.hi
-        return pos >= self.lo or pos <= self.hi
-
     def length(self, cycle_length: int) -> int:
         if self.lo <= self.hi:
             return self.hi - self.lo + 1
         return cycle_length - self.lo + 1 + self.hi
-
-
-def distinct_intervals(spans) -> list[Interval]:
-    """Intervals for (lo, hi) pairs, duplicates dropped, sorted by (lo, hi)."""
-    return [Interval(lo, hi) for lo, hi in sorted(set(spans))]
 
 
 def reach(length: int, intervals) -> list[int]:

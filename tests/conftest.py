@@ -22,6 +22,13 @@ def brute_min_hitting(n: int, sets) -> int | None:
     return None
 
 
+def covers(arc, pos: int) -> bool:
+    """Whether an Interval, or a CycleArc that wraps when lo > hi, holds pos."""
+    if arc.lo <= arc.hi:
+        return arc.lo <= pos <= arc.hi
+    return pos >= arc.lo or pos <= arc.hi
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
     edges = [
         (u, v)

@@ -14,7 +14,6 @@ from hitpaths import (
     canonical_table,
     connect_components,
     cyclomatic_number,
-    enumerate_signed,
     high_degree_set,
     preprocess,
     solve,
@@ -25,12 +24,7 @@ from hitpaths.bench import run_agreement, run_scaling
 from hitpaths.graph import path_components
 from hitpaths.instance_io import make_instance
 from hitpaths.mvsat import satisfies
-from hitpaths.oracle import (
-    SetSystem,
-    exact_min_hitting_set,
-    flower_bruteforce,
-    has_k_clique,
-)
+from hitpaths.oracle import SetSystem, exact_min_hitting_set
 from hitpaths.reductions import (
     TooFewEdges,
     clique_to_signed3sat,
@@ -40,6 +34,7 @@ from hitpaths.reductions import (
 from hitpaths.treecycle import Interval
 
 from conftest import random_flower, random_graph, random_signed_formula
+from reference import enumerate_signed, flower_bruteforce, has_k_clique
 
 
 def report(num: int, ok: bool, detail: str) -> None:

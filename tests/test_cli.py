@@ -119,3 +119,22 @@ def test_no_claim_check_respects_the_work_cap(tmp_path, capsys, monkeypatch):
     assert run(["verify", inst, claim]) == 2
     assert run(["oracle", inst]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.hp"
+    bad.write_bytes(TRIANGLE.encode() + b"c \xff\xfe\n")
+    sol = write(tmp_path, "tri.sol", "s 1 1\n")
+    for argv in (["solve", str(bad)], ["oracle", str(bad)], ["verify", str(bad), sol],
+                 ["verify", write(tmp_path, "tri.hp", TRIANGLE), str(bad)],
+                 ["reduce", "sat3tree", str(bad), str(tmp_path / "out.hp")]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "not UTF-8" in captured.err
+
+
+def test_bench_count_below_1_exits_2(capsys):
+    for count in ("0", "-1"):
+        assert run(["bench", "--suite", "agreement", "--count", count]) == 2
+        assert "--count" in capsys.readouterr().err

@@ -18,10 +18,9 @@ from hitpaths import (
     stab_intervals,
 )
 from hitpaths.flower import FlowerInstance
-from hitpaths.oracle import flower_bruteforce
-from hitpaths.treecycle import distinct_intervals
 
-from conftest import random_flower
+from conftest import covers, random_flower
+from reference import flower_bruteforce
 
 PETAL = [Interval(2, 3), Interval(5, 5)]  # on a petal of length 5, budget 2
 
@@ -57,7 +56,7 @@ def test_canonical_laws_random():
         for ell in defined:
             sol = table[ell]
             assert min(sol) == ell and len(sol) == b
-            assert all(any(iv.contains(p) for p in sol) for iv in ivs)
+            assert all(any(covers(iv, p) for p in sol) for iv in ivs)
         # defined indices are contiguous
         if defined:
             assert defined == list(range(defined[0], defined[-1] + 1))
@@ -133,7 +132,7 @@ def rescanning_canonical_solution(petal_length, internal_paths, budget, ell):
         return None
     chosen = {ell}
     while True:
-        unhit = [iv for iv in internal_paths if not any(iv.contains(p) for p in chosen)]
+        unhit = [iv for iv in internal_paths if not any(covers(iv, p) for p in chosen)]
         if not unhit:
             break
         chosen.add(min(iv.hi for iv in unhit))
@@ -173,7 +172,8 @@ def test_canonical_table_matches_rescanning_reference():
         length = rng.randint(1, 12)
         ivs = random_petal_intervals(rng, length)
         budget = rng.randint(1, length + 1)
-        for given in (ivs, distinct_intervals((iv.lo, iv.hi) for iv in ivs)):
+        distinct = [Interval(lo, hi) for lo, hi in sorted({(iv.lo, iv.hi) for iv in ivs})]
+        for given in (ivs, distinct):
             expected = [None] + [
                 rescanning_canonical_solution(length, given, budget, ell)
                 for ell in range(1, length + 1)
@@ -272,7 +272,8 @@ def uncompressed_verdict(inst):
     tables = []
     clauses = []
     for i, petal in enumerate(inst.petals):
-        table = canonical_table(len(petal), distinct_intervals(inst.internal[i]), inst.budgets[i])
+        ivs = [Interval(lo, hi) for lo, hi in inst.internal[i]]
+        table = canonical_table(len(petal), ivs, inst.budgets[i])
         defined = [ell for ell in range(1, len(petal) + 1) if table[ell] is not None]
         if not defined:
             return "NO", "range"
@@ -318,7 +319,7 @@ def long_petal_flower(rng):
             lo = rng.randint(1, length)
             ivs.append((lo, min(length, lo + rng.randint(0, 6))))
         paths += [petal[lo - 1 : hi] for lo, hi in ivs]
-        opt = stab_intervals(length, distinct_intervals(ivs))[0]
+        opt = stab_intervals(length, [Interval(lo, hi) for lo, hi in ivs])[0]
         slack = -1 if rng.random() < 0.03 else rng.choice((0, 0, 1, 2))
         budgets.append(min(length, max(1, opt + slack)))
 

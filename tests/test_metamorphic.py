@@ -16,7 +16,6 @@ from hitpaths.instance_io import unhit_targets
 from hitpaths.oracle import reference_verdict
 
 SEEDS = range(100)
-KS = (0, 1, 2, 3, 4)
 
 
 def checked_verdict(inst):
@@ -75,7 +74,7 @@ def test_transform_keeps_the_verdict(transform):
     rng = random.Random(7)
     compared = 0
     for seed in SEEDS:
-        inst = _agreement_instance(seed, KS)
+        inst = _agreement_instance(seed)
         other = transform(inst, rng)
         if other is None:
             continue
@@ -87,7 +86,7 @@ def test_transform_keeps_the_verdict(transform):
 def test_larger_budget_keeps_yes():
     raised = 0
     for seed in SEEDS:
-        inst = _agreement_instance(seed, KS)
+        inst = _agreement_instance(seed)
         if inst.t < inst.graph.n and checked_verdict(inst) == "YES":
             assert checked_verdict(make_instance(inst.graph, inst.paths, inst.t + 1)) == "YES"
             raised += 1

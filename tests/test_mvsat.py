@@ -11,7 +11,6 @@ from hitpaths import (
     ClauseTooWide,
     SignedFormula,
     SignedLiteral,
-    enumerate_signed,
     signed_to_classical,
     solve_2sat,
     solve_tors2sat,
@@ -19,6 +18,7 @@ from hitpaths import (
 from hitpaths.mvsat import satisfies
 
 from conftest import random_signed_formula
+from reference import enumerate_signed
 
 
 def truth_table_2sat(cnf: BoolCnf):

@@ -13,13 +13,12 @@ from hitpaths import (
     SignedLiteral,
     TooFewEdges,
     cyclomatic_number,
-    enumerate_signed,
     high_degree_set,
     make_instance,
     write_instance,
 )
 from hitpaths.graph import path_components
-from hitpaths.oracle import SetSystem, exact_min_hitting_set, has_k_clique
+from hitpaths.oracle import SetSystem, exact_min_hitting_set
 from hitpaths import reductions
 from hitpaths.reductions import (
     GeneratorConfig,
@@ -31,6 +30,7 @@ from hitpaths.reductions import (
 )
 
 from conftest import random_graph, random_signed_formula
+from reference import enumerate_signed, has_k_clique
 
 
 def hitting_feasible(inst):
