@@ -37,8 +37,7 @@ class PreprocessResult:
     forced: frozenset[int]  # original ids forced into every solution
     t_remaining: int  # may be negative
     k: int  # cyclomatic number, the same for the input and the residual
-    old_to_new: dict[int, int]
-    new_to_old: dict[int, int]
+    new_to_old: dict[int, int]  # residual id -> original id
 
 
 @dataclass
@@ -66,7 +65,7 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     target skips that work, so the whole pass takes
     O((n + m) log n + sum of target lengths). When no vertex
     has degree <= 1 the input graph and targets are returned as they are,
-    with identity id maps.
+    with an identity id map.
     """
     if inst.kind != KIND_PATHS:
         raise ValidationError("the FPT solver handles path targets only")
@@ -75,7 +74,7 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     low = [v for v, ns in g.adjacency().items() if len(ns) <= 1]
     if not low:  # nothing peels: the residual is the input
         ids = {v: v for v in g.vertices()}
-        return PreprocessResult(g, inst.paths, frozenset(), inst.t, k, ids, dict(ids))
+        return PreprocessResult(g, inst.paths, frozenset(), inst.t, k, ids)
     adj = g.adjacency()  # shared: read only
     deg = {v: len(ns) for v, ns in adj.items()}  # degree of each live vertex
     paths = inst.paths
@@ -116,8 +115,8 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
                         raise InvariantViolation("preprocessing peeled an inner target vertex")
 
     # relabelling keeps the order, so u < w stays an ordered pair
-    old_to_new = {v: i + 1 for i, v in enumerate(sorted(deg))}
-    new_to_old = {i: v for v, i in old_to_new.items()}
+    new_to_old = dict(enumerate(sorted(deg), 1))
+    old_to_new = {v: i for i, v in new_to_old.items()}
     edges = {(old_to_new[u], old_to_new[w]) for u in deg for w in adj[u] if u < w and w in deg}
     residual = Graph(len(deg), frozenset(edges))
     if cyclomatic_number(residual) != k:
@@ -127,7 +126,7 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     )
     if not all(new_paths):
         raise InvariantViolation("preprocessing emptied a target")
-    return PreprocessResult(residual, new_paths, frozenset(forced), t, k, old_to_new, new_to_old)
+    return PreprocessResult(residual, new_paths, frozenset(forced), t, k, new_to_old)
 
 
 @dataclass(frozen=True)

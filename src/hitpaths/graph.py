@@ -23,19 +23,24 @@ class Graph:
 
     @staticmethod
     def build(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """Validate the edges in the one pass that fills the kept adjacency."""
         if n < 0:
             raise ValidationError(f"negative vertex count {n}")
+        adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
         normalized = set()
         for u, v in edges:
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValidationError(f"edge ({u},{v}) out of range 1..{n}")
-            e = (u, v) if u < v else (v, u)
-            if e in normalized:
-                raise ValidationError(f"duplicate edge {e}")
-            normalized.add(e)
-        return Graph(n, frozenset(normalized))
+            if v in adj[u]:
+                raise ValidationError(f"duplicate edge {(u, v) if u < v else (v, u)}")
+            adj[u].add(v)
+            adj[v].add(u)
+            normalized.add((u, v) if u < v else (v, u))
+        g = Graph(n, frozenset(normalized))
+        object.__setattr__(g, "_adjacency", adj)
+        return g
 
     @property
     def m(self) -> int:
@@ -45,8 +50,8 @@ class Graph:
         return range(1, self.n + 1)
 
     def adjacency(self) -> dict[int, set[int]]:
-        """Neighbour sets, built once per graph and shared by every caller,
-        so no caller may mutate them."""
+        """Neighbour sets, filled by Graph.build (else built here on first use)
+        and shared by every caller, so no caller may mutate them."""
         adj = self.__dict__.get("_adjacency")
         if adj is None:
             adj = {v: set() for v in self.vertices()}

@@ -22,7 +22,7 @@ Solution file: "s <size> <v1> ... <vk>" for YES, "s -1" for NO.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import ParseError, ValidationError
 from .graph import Graph, path_in
@@ -75,7 +75,7 @@ def make_instance(graph: Graph, paths, t: int, kind: str = KIND_PATHS) -> HitPat
 def unhit_targets(inst: HitPathsInstance, chosen) -> list[int]:
     """0-based indices of targets missed by the chosen vertex set."""
     cs = set(chosen)
-    return [i for i, p in enumerate(inst.paths) if not cs.intersection(p)]
+    return [i for i, p in enumerate(inst.paths) if cs.isdisjoint(p)]
 
 
 def certificate_for(paths, chosen) -> Optional[tuple[int, ...]]:
@@ -83,21 +83,19 @@ def certificate_for(paths, chosen) -> Optional[tuple[int, ...]]:
     cs = set(chosen)
     cert = []
     for p in paths:
-        hits = cs.intersection(p)
-        if not hits:
+        v = min(filter(cs.__contains__, p), default=None)
+        if v is None:
             return None
-        cert.append(min(hits))
+        cert.append(v)
     return tuple(cert)
 
 
-def _content_lines(text: str) -> list[list[str]]:
-    out = []
+def _content_lines(text: str) -> Iterator[list[str]]:
+    """Each non-blank, non-comment line's tokens, yielded one line at a time."""
     for raw in text.splitlines():
         tokens = raw.split()
-        if not tokens or tokens[0] == "c":
-            continue
-        out.append(tokens)
-    return out
+        if tokens and tokens[0] != "c":
+            yield tokens
 
 
 def _int(tok: str, what: str) -> int:
@@ -125,9 +123,9 @@ def _ints(tokens, what: str) -> list[int]:
 
 def parse_instance(text: str) -> HitPathsInstance:
     lines = _content_lines(text)
-    if not lines or lines[0][0] != "p":
+    header = next(lines, None)
+    if header is None or header[0] != "p":
         raise ParseError("missing 'p' header line")
-    header = lines[0]
     if len(header) != 6 or header[1] not in ("hitpaths", "hitsub"):
         raise ParseError(f"bad header {' '.join(header)!r}")
     kind = KIND_PATHS if header[1] == "hitpaths" else KIND_SUBGRAPHS
@@ -137,7 +135,7 @@ def parse_instance(text: str) -> HitPathsInstance:
     size_tokens: list[str] = []  # the announced size of every target line
     vertex_tokens: list[str] = []  # the vertex tokens of all target lines
     cuts = [0]  # where each target line's vertex tokens end
-    for tokens in lines[1:]:
+    for tokens in lines:
         tag = tokens[0]
         if tag == "e":
             if len(tokens) != 3:
@@ -158,12 +156,11 @@ def parse_instance(text: str) -> HitPathsInstance:
         if k != b - a:
             raise ParseError(f"target line announces {k} vertices, has {b - a}")
         targets.append(tuple(vs[a:b]))
-    edges = list(zip(ends[::2], ends[1::2]))
-    if len(edges) != m:
-        raise ParseError(f"header announces {m} edges, found {len(edges)}")
+    if len(ends) // 2 != m:
+        raise ParseError(f"header announces {m} edges, found {len(ends) // 2}")
     if len(targets) != p:
         raise ParseError(f"header announces {p} targets, found {len(targets)}")
-    graph = Graph.build(n, edges)
+    graph = Graph.build(n, zip(ends[::2], ends[1::2]))
     return make_instance(graph, targets, t, kind)
 
 
@@ -180,16 +177,16 @@ def write_instance(inst: HitPathsInstance) -> str:
 
 def parse_signed_formula(text: str) -> SignedFormula:
     lines = _content_lines(text)
-    if not lines or lines[0][0] != "p":
+    header = next(lines, None)
+    if header is None or header[0] != "p":
         raise ParseError("missing 'p' header line")
-    header = lines[0]
     if len(header) != 5 or header[1] != "scnf":
         raise ParseError(f"bad header {' '.join(header)!r}")
     n, nvals, c = _ints(header[2:], "header field")
     if n < 0 or nvals < 1:
         raise ValidationError(f"bad variable or truth value count {n}/{nvals}")
     clauses = []
-    for tokens in lines[1:]:
+    for tokens in lines:
         if tokens[-1] != "0":
             raise ParseError("clause line not terminated by 0")
         lits = []
@@ -214,7 +211,7 @@ def write_signed_formula(f: SignedFormula) -> str:
 
 
 def parse_solution(text: str) -> Solution:
-    lines = _content_lines(text)
+    lines = list(_content_lines(text))
     if len(lines) != 1 or lines[0][0] != "s":
         raise ParseError("expected a single 's' line")
     tokens = lines[0]

@@ -1,8 +1,10 @@
 """Exhaustive reference solvers that the tests check the package against.
 
 Small and slow on purpose: lexicographic enumeration of signed formulas,
-exact-budget enumeration for flowers, and naive clique search. The package
-itself never calls them.
+exact-budget enumeration for flowers, and naive clique search. Also the
+earlier, simpler versions of rewritten package code: the two-pass instance
+parse and the set-building target checks. The package itself never calls
+them.
 """
 
 from __future__ import annotations
@@ -11,10 +13,18 @@ import itertools
 import math
 from typing import Optional
 
-from hitpaths.errors import CapExceeded, ValidationError
+from hitpaths.errors import CapExceeded, ParseError, ValidationError
 from hitpaths.flower import FlowerInstance
 from hitpaths.graph import Graph
-from hitpaths.instance_io import Solution, certificate_for
+from hitpaths.instance_io import (
+    KIND_PATHS,
+    KIND_SUBGRAPHS,
+    HitPathsInstance,
+    Solution,
+    _ints,
+    certificate_for,
+    make_instance,
+)
 from hitpaths.mvsat import SignedFormula, SignedLiteral
 from hitpaths.oracle import default_cap
 
@@ -86,3 +96,93 @@ def has_k_clique(g: Graph, k: int) -> tuple[bool, Optional[tuple[int, ...]]]:
         if all(e in g.edges for e in itertools.combinations(combo, 2)):
             return True, combo
     return False, None
+
+
+def content_lines_list(text: str) -> list[list[str]]:
+    """The token lists of all content lines at once."""
+    out = []
+    for raw in text.splitlines():
+        tokens = raw.split()
+        if not tokens or tokens[0] == "c":
+            continue
+        out.append(tokens)
+    return out
+
+
+def graph_build_two_pass(n: int, edges) -> Graph:
+    """Graph.build validating into a set of pairs, with no adjacency map."""
+    if n < 0:
+        raise ValidationError(f"negative vertex count {n}")
+    normalized = set()
+    for u, v in edges:
+        if u == v:
+            raise ValidationError(f"self-loop at vertex {u}")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValidationError(f"edge ({u},{v}) out of range 1..{n}")
+        e = (u, v) if u < v else (v, u)
+        if e in normalized:
+            raise ValidationError(f"duplicate edge {e}")
+        normalized.add(e)
+    return Graph(n, frozenset(normalized))
+
+
+def parse_instance_two_pass(text: str) -> HitPathsInstance:
+    """parse_instance over the list of all content lines and a list of all
+    edges, with the adjacency built after the edges are validated."""
+    lines = content_lines_list(text)
+    if not lines or lines[0][0] != "p":
+        raise ParseError("missing 'p' header line")
+    header = lines[0]
+    if len(header) != 6 or header[1] not in ("hitpaths", "hitsub"):
+        raise ParseError(f"bad header {' '.join(header)!r}")
+    kind = KIND_PATHS if header[1] == "hitpaths" else KIND_SUBGRAPHS
+    n, m, p, t = _ints(header[2:], "header field")
+    end_tokens: list[str] = []
+    size_tokens: list[str] = []
+    vertex_tokens: list[str] = []
+    cuts = [0]
+    for tokens in lines[1:]:
+        tag = tokens[0]
+        if tag == "e":
+            if len(tokens) != 3:
+                raise ParseError(f"bad edge line {' '.join(tokens)!r}")
+            end_tokens += tokens[1:]
+        elif tag == "s":
+            if len(tokens) < 2:
+                raise ParseError(f"bad target line {' '.join(tokens)!r}")
+            size_tokens.append(tokens[1])
+            vertex_tokens += tokens[2:]
+            cuts.append(len(vertex_tokens))
+        else:
+            raise ParseError(f"unknown line tag {tag!r}")
+    ends = _ints(end_tokens, "vertex")
+    vs = _ints(vertex_tokens, "vertex")
+    targets = []
+    for k, a, b in zip(_ints(size_tokens, "target size"), cuts, cuts[1:]):
+        if k != b - a:
+            raise ParseError(f"target line announces {k} vertices, has {b - a}")
+        targets.append(tuple(vs[a:b]))
+    edges = list(zip(ends[::2], ends[1::2]))
+    if len(edges) != m:
+        raise ParseError(f"header announces {m} edges, found {len(edges)}")
+    if len(targets) != p:
+        raise ParseError(f"header announces {p} targets, found {len(targets)}")
+    return make_instance(graph_build_two_pass(n, edges), targets, t, kind)
+
+
+def unhit_targets_sets(inst: HitPathsInstance, chosen) -> list[int]:
+    """unhit_targets building one intersection set per target."""
+    cs = set(chosen)
+    return [i for i, p in enumerate(inst.paths) if not cs.intersection(p)]
+
+
+def certificate_for_sets(paths, chosen) -> Optional[tuple[int, ...]]:
+    """certificate_for building one intersection set per target."""
+    cs = set(chosen)
+    cert = []
+    for p in paths:
+        hits = cs.intersection(p)
+        if not hits:
+            return None
+        cert.append(min(hits))
+    return tuple(cert)

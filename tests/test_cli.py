@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from hitpaths.cli import run
 
 TRIANGLE = "p hitpaths 3 3 1 1\ne 1 2\ne 2 3\ne 1 3\ns 2 1 2\n"
@@ -138,3 +143,20 @@ def test_bench_count_below_1_exits_2(capsys):
     for count in ("0", "-1"):
         assert run(["bench", "--suite", "agreement", "--count", count]) == 2
         assert "--count" in capsys.readouterr().err
+
+
+def test_module_entry_points(tmp_path):
+    # `python -m hitpaths` and `python -m hitpaths.cli` reach main() in a
+    # fresh interpreter, with its exit codes and error line
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    good = write(tmp_path, "tri.hp", TRIANGLE)
+    bad = write(tmp_path, "bad.hp", "p hitpaths 3 1 0 0\n")
+    for module in ("hitpaths", "hitpaths.cli"):
+        argv = [sys.executable, "-m", module, "solve"]
+        done = subprocess.run(argv + [good], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (0, "s 1 1\n"), done.stderr
+        done = subprocess.run(argv + [bad], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: ")

@@ -82,7 +82,8 @@ def test_preprocess_shaves_target_tails():
     g = Graph.build(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
     pre = preprocess(make_instance(g, [(4, 3)], 1))
     assert pre.graph.n == 3
-    assert pre.paths == ((pre.old_to_new[3],),)
+    old_to_new = {v: i for i, v in pre.new_to_old.items()}
+    assert pre.paths == ((old_to_new[3],),)
 
 
 def test_component_budgets_on_c4_chord():
@@ -227,8 +228,8 @@ def quadratic_preprocess(inst):
             adj[w].discard(v)
         del adj[v]
         alive.discard(v)
-    old_to_new = {v: i + 1 for i, v in enumerate(sorted(alive))}
-    new_to_old = {i: v for v, i in old_to_new.items()}
+    new_to_old = {i + 1: v for i, v in enumerate(sorted(alive))}
+    old_to_new = {v: i for i, v in new_to_old.items()}
     edges = {
         (min(old_to_new[u], old_to_new[w]), max(old_to_new[u], old_to_new[w]))
         for u in alive
@@ -238,7 +239,7 @@ def quadratic_preprocess(inst):
     new_paths = tuple(tuple(old_to_new[v] for v in p) for p in paths)
     return PreprocessResult(
         Graph(len(alive), frozenset(edges)), new_paths, frozenset(forced), t,
-        cyclomatic_number(g), old_to_new, new_to_old,
+        cyclomatic_number(g), new_to_old,
     )
 
 

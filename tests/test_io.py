@@ -1,6 +1,7 @@
 import random
 import re
 import time
+from functools import partial
 
 import pytest
 
@@ -21,9 +22,16 @@ from hitpaths import (
     write_signed_formula,
     write_solution,
 )
+from hitpaths.instance_io import certificate_for, unhit_targets
 from hitpaths.reductions import GeneratorConfig, gen_random_instance
 
-from conftest import random_signed_formula
+from conftest import random_graph, random_signed_formula
+from reference import (
+    certificate_for_sets,
+    graph_build_two_pass,
+    parse_instance_two_pass,
+    unhit_targets_sets,
+)
 
 TRIANGLE = "p hitpaths 3 3 1 1\ne 1 2\ne 2 3\ne 1 3\ns 2 1 2\n"
 
@@ -191,3 +199,114 @@ def test_integers_are_ascii_decimals_only():
     assert parse_signed_formula("p scnf 2 3 1\n+01:2 -2:+1 0\n").clauses == (
         (SignedLiteral(1, GE, 2), SignedLiteral(2, LE, 1)),
     )
+
+
+def _edit_instance_text(rng, text):
+    """A valid instance text with 0 to 2 random edits from the ways a file
+    can go wrong: comment and blank lines, a moved or repeated header, short,
+    long or extra-token lines, self-loops, out-of-range ends, duplicate
+    edges in either orientation, and miscounted headers."""
+    lines = text.splitlines()
+    n = int(lines[0].split()[2])
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        at = rng.randint(1, len(lines))
+        edges = [i for i, line in enumerate(lines) if line.startswith("e ") and len(line.split()) == 3]
+        headers = [i for i, line in enumerate(lines) if line.startswith("p ")]
+        edit = rng.randrange(12)
+        if edit == 0:
+            lines.insert(rng.randint(0, len(lines)), rng.choice(("", "   ", "c", "c e 1 1", "\t")))
+        elif edit == 1:  # the header moves down or appears twice
+            lines.insert(at, lines[0] if rng.random() < 0.5 else lines.pop(0))
+        elif edit == 2:
+            lines.insert(at, rng.choice(("e 1", "e", "e 1 2 3", "s", "s 2 1", "s 1 1 2", "x 1 2")))
+        elif edit in (3, 4, 5):  # an edge line added, or one replaced to keep the count
+            if edit == 3:
+                v = rng.randint(1, n)
+                ends = [v, v]
+            elif edit == 4:
+                ends = [rng.choice((0, -1, n + 1, n + 2)), rng.randint(1, n)]
+            else:  # a duplicate edge, as written or reversed
+                ends = lines[rng.choice(edges)].split()[1:] if edges else [1, 2]
+            rng.shuffle(ends)
+            if edges and rng.random() < 0.7:
+                lines[rng.choice(edges)] = "e {} {}".format(*ends)
+            else:
+                lines.insert(at, "e {} {}".format(*ends))
+        elif edit == 6 and edges:  # an edge written in the other orientation
+            row = rng.choice(edges)
+            _, u, v = lines[row].split()
+            lines[row] = f"e {v} {u}"
+        elif edit == 7 and headers:  # a header field off by one
+            fields = lines[headers[0]].split()
+            f = rng.randint(2, len(fields) - 1)
+            fields[f] = str(int(fields[f]) + rng.choice((-1, 1)))
+            lines[headers[0]] = " ".join(fields)
+        elif edit == 8 and len(lines) > 1:  # a line lost
+            del lines[rng.randint(1, len(lines) - 1)]
+        elif edit == 9:
+            lines.insert(at, f"s 2 {rng.randint(1, n)} {rng.randint(1, n)} {rng.randint(1, n)}")
+        elif edit == 10:
+            lines.insert(0, rng.choice(("p hitpaths 3 0 0", "p hitsub 2 0 0 0 0", "p other 1 0 0 0")))
+        elif edit == 11:
+            lines[0] = lines[0].replace("hitpaths", "hitsub")
+    return "\n".join(lines) + rng.choice(("\n", "", "\n\n"))
+
+
+def _adjacency_from_edges(g):
+    adj = {v: set() for v in g.vertices()}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_streaming_parse_matches_the_two_pass_reference():
+    kinds = {}
+    for seed in range(600):
+        rng = random.Random(seed)
+        cfg = GeneratorConfig(
+            seed=seed, k=rng.randint(0, 3), n=rng.randint(4, 12), num_paths=rng.randint(0, 8)
+        )
+        text = _edit_instance_text(rng, write_instance(gen_random_instance(cfg)))
+        got = _outcome(parse_instance, text)
+        assert got == _outcome(parse_instance_two_pass, text), text
+        kind = got[0] if isinstance(got, tuple) else "ok"
+        kinds[kind] = kinds.get(kind, 0) + 1
+        if kind == "ok":
+            assert got.graph.adjacency() == _adjacency_from_edges(got.graph)
+    # the corpus reaches valid files and both kinds of error
+    assert min(kinds.values()) >= 50 and set(kinds) == {"ok", ParseError, ValidationError}
+
+
+def test_graph_build_stores_the_adjacency_of_its_edges():
+    for seed in range(200):
+        rng = random.Random(seed)
+        g = random_graph(rng, rng.randint(0, 10), rng.random())
+        assert "_adjacency" in g.__dict__  # stored by build, not rebuilt on first use
+        assert g.adjacency() == _adjacency_from_edges(g) == Graph(g.n, g.edges).adjacency()
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        if edges and rng.random() < 0.5:
+            edges.insert(rng.randint(0, len(edges)), rng.choice(edges)[::-1])
+        expected = _outcome(partial(graph_build_two_pass, g.n), edges)
+        assert _outcome(partial(Graph.build, g.n), edges) == expected
+
+
+def test_target_checks_match_the_set_building_reference():
+    for seed in range(300):
+        rng = random.Random(seed)
+        cfg = GeneratorConfig(
+            seed=seed, k=rng.randint(0, 3), n=rng.randint(4, 12), num_paths=rng.randint(0, 8)
+        )
+        inst = gen_random_instance(cfg)
+        chosen = rng.sample(range(1, cfg.n + 1), rng.randint(0, cfg.n))
+        assert unhit_targets(inst, chosen) == unhit_targets_sets(inst, chosen)
+        assert certificate_for(inst.paths, chosen) == certificate_for_sets(inst.paths, chosen)
+        full = range(1, cfg.n + 1)
+        assert certificate_for(inst.paths, full) == certificate_for_sets(inst.paths, full)
