@@ -59,24 +59,23 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     it is deleted and shaved off the ends of the targets containing it.
 
     Vertices are peeled smallest id first from a heap of the live vertices
-    of degree <= 1 (Batagelj-Zaversnik peeling, with a heap for the order)
-    on a map of live degrees over the graph's shared, unmodified adjacency.
-    Each target is trimmed by moving its end pointers, and a vertex on no
-    target skips that work, so the whole pass takes
-    O((n + m) log n + sum of target lengths). When no vertex
-    has degree <= 1 the input graph and targets are returned as they are,
-    with an identity id map.
+    of degree <= 1 (Batagelj-Zaversnik peeling) on a map of live degrees
+    over the graph's shared, unmodified adjacency. Each target is trimmed
+    by moving its end pointers, and a vertex on no target skips that work,
+    so the pass takes O((n + m) log n + sum of target lengths). Peeling
+    keeps m - n + c, so k is read off the residual; two self-checks back
+    this: no peeled vertex has two live neighbours, and the residual keeps
+    exactly the unpeeled edges. Input that does not peel is returned as is.
     """
     if inst.kind != KIND_PATHS:
         raise ValidationError("the FPT solver handles path targets only")
     g = inst.graph
-    k = cyclomatic_number(g)
     low = [v for v, ns in g.adjacency().items() if len(ns) <= 1]
     if not low:  # nothing peels: the residual is the input
         ids = {v: v for v in g.vertices()}
-        return PreprocessResult(g, inst.paths, frozenset(), inst.t, k, ids)
+        return PreprocessResult(g, inst.paths, frozenset(), inst.t, cyclomatic_number(g), ids)
     adj = g.adjacency()  # shared: read only
-    deg = {v: len(ns) for v, ns in adj.items()}  # degree of each live vertex
+    deg = [0, *map(len, map(adj.__getitem__, g.vertices()))]  # live degree per id, 0 once peeled
     paths = inst.paths
     lo = [0] * len(paths)
     hi = [len(p) for p in paths]
@@ -87,45 +86,52 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
             through.setdefault(v, []).append(i)
     forced: set[int] = set()
     t = inst.t
+    removed = 0  # edges peeled away
     heapq.heapify(low)
     while low:
         v = heapq.heappop(low)
-        del deg[v]
+        deg[v] = 0
+        before = removed
         for w in adj[v]:
-            d = deg.get(w)  # None once w is peeled, else at least 1
+            d = deg[w]  # 0 once w is peeled, else at least 1
             if d:
+                removed += 1
                 deg[w] = d - 1
                 if d == 2:
                     heapq.heappush(low, w)
-        if v in through:
-            ids = [i for i in through[v] if live[i]]
-            if any(hi[i] - lo[i] == 1 for i in ids):
+        if removed - before > 1:
+            raise InvariantViolation(f"preprocessing peeled a vertex of degree {removed - before}")
+        on = through.get(v, ())
+        for i in on:
+            if live[i] and hi[i] - lo[i] == 1:
                 forced.add(v)
                 t -= 1
-                for i in ids:
-                    live[i] = False
-            else:
-                # v has degree <= 1, so it can only sit at the end of a target
-                for i in ids:
-                    if paths[i][lo[i]] == v:
-                        lo[i] += 1
-                    elif paths[i][hi[i] - 1] == v:
-                        hi[i] -= 1
-                    else:
-                        raise InvariantViolation("preprocessing peeled an inner target vertex")
+                for j in on:
+                    live[j] = False
+                break
+        else:
+            # v has degree <= 1, so it can only sit at the end of a target
+            for i in filter(live.__getitem__, on):
+                if paths[i][lo[i]] == v:
+                    lo[i] += 1
+                elif paths[i][hi[i] - 1] == v:
+                    hi[i] -= 1
+                else:
+                    raise InvariantViolation("preprocessing peeled an inner target vertex")
 
     # relabelling keeps the order, so u < w stays an ordered pair
-    new_to_old = dict(enumerate(sorted(deg), 1))
+    new_to_old = dict(enumerate(filter(deg.__getitem__, g.vertices()), 1))
     old_to_new = {v: i for i, v in new_to_old.items()}
-    edges = {(old_to_new[u], old_to_new[w]) for u in deg for w in adj[u] if u < w and w in deg}
-    residual = Graph(len(deg), frozenset(edges))
-    if cyclomatic_number(residual) != k:
-        raise InvariantViolation("preprocessing changed the cyclomatic number")
+    edges = {(old_to_new[u], old_to_new[w]) for u in old_to_new for w in adj[u] if u < w and deg[w]}
+    residual = Graph(len(old_to_new), frozenset(edges))
+    if g.m - residual.m != removed:
+        raise InvariantViolation("the residual does not keep exactly the unpeeled edges")
     new_paths = tuple(
         tuple(old_to_new[v] for v in p[lo[i] : hi[i]]) for i, p in enumerate(paths) if live[i]
     )
     if not all(new_paths):
         raise InvariantViolation("preprocessing emptied a target")
+    k = cyclomatic_number(residual)  # the same as the input's
     return PreprocessResult(residual, new_paths, frozenset(forced), t, k, new_to_old)
 
 

@@ -17,7 +17,11 @@ from .instance_io import Solution
 
 
 def default_cap() -> int:
-    return int(os.environ.get("HITPATHS_CAP", 10**7))
+    raw = os.environ.get("HITPATHS_CAP", "10000000")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValidationError(f"HITPATHS_CAP={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)

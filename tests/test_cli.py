@@ -126,6 +126,21 @@ def test_no_claim_check_respects_the_work_cap(tmp_path, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_integer_work_cap_is_an_error(tmp_path, capsys, monkeypatch):
+    inst = write(tmp_path, "no.hp", INFEASIBLE)
+    claim = write(tmp_path, "no.sol", "s -1\n")
+    monkeypatch.setenv("HITPATHS_CAP", "abc")
+    for argv in (["oracle", inst], ["verify", inst, claim]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: HITPATHS_CAP='abc' is not an integer\n"
+    # an integer cap keeps its meaning
+    monkeypatch.setenv("HITPATHS_CAP", " 50 ")
+    assert run(["oracle", inst]) == 1
+    assert run(["verify", inst, claim]) == 0
+
+
 def test_non_utf8_input_is_a_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.hp"
     bad.write_bytes(TRIANGLE.encode() + b"c \xff\xfe\n")

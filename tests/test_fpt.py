@@ -289,14 +289,55 @@ def random_peel_instance(rng):
 def test_preprocess_matches_quadratic_reference():
     rng = random.Random(71)
     forced_by_trimming = 0
+    trees_beside_a_cycle = 0
     for _ in range(1200):
         inst = random_peel_instance(rng)
         got = preprocess(inst)
         assert got == quadratic_preprocess(inst)
         singletons = {p[0] for p in inst.paths if len(p) == 1}
         forced_by_trimming += bool(got.forced - singletons)
+        adj = inst.graph.adjacency()
+        # a component is a tree iff it has one vertex more than edges
+        cyclic = [sum(len(adj[v]) for v in c) // 2 >= len(c) for c in inst.graph.components()]
+        trees_beside_a_cycle += any(cyclic) and cyclic.count(False) >= 2
     # the peel order decides which vertex a trimmed target forces
     assert forced_by_trimming > 300
+    # the reference takes k from the input: peeled-away trees must not count
+    assert trees_beside_a_cycle > 20
+
+
+def with_adjacency(n, edges, extra=(), missing=()):
+    """A graph whose stored adjacency has the `extra` edges on top of
+    `edges` and lacks the one-sided `missing` entries (v loses neighbour w)."""
+    g = Graph(n, frozenset(edges))
+    adj = {v: set() for v in g.vertices()}
+    for u, v in [*edges, *extra]:
+        adj[u].add(v)
+        adj[v].add(u)
+    for v, w in missing:
+        adj[v].discard(w)
+    object.__setattr__(g, "_adjacency", adj)
+    return make_instance(g, [], 0)
+
+
+def test_preprocess_checks_the_residual_edge_count():
+    c4 = [(1, 2), (2, 3), (3, 4), (1, 4)]
+    # pendant 5 peels; the residual would keep a chord the edges lack
+    inst = with_adjacency(5, c4 + [(1, 5)], extra=[(1, 3)])
+    with pytest.raises(InvariantViolation, match="unpeeled edges"):
+        preprocess(inst)
+    # the isolated vertex 5 peels along an edge the graph does not have
+    inst = with_adjacency(5, c4, extra=[(1, 5)])
+    with pytest.raises(InvariantViolation, match="unpeeled edges"):
+        preprocess(inst)
+
+
+def test_preprocess_checks_each_peeled_degree():
+    # 1 does not list its pendant 5, so peeling 5 takes 1 down to degree 1
+    # while it still has the live neighbours 2 and 4
+    inst = with_adjacency(5, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 5)], missing=[(1, 5)])
+    with pytest.raises(InvariantViolation, match="degree 2"):
+        preprocess(inst)
 
 
 def test_preprocess_peels_smallest_id_first():
@@ -432,6 +473,19 @@ def test_connected_input_runs_one_component_search(monkeypatch):
         assert len(calls) == (1 if connected else 2)
         checked += connected
     assert checked > 100
+    # an input that peels is searched only as its residual, which peeling
+    # leaves connected when the input is
+    peeled = 0
+    for _ in range(600):
+        inst = random_peel_instance(rng)
+        g = inst.graph
+        if len(search(g)) != 1 or all(len(ns) > 1 for ns in g.adjacency().values()):
+            continue
+        calls.clear()
+        solve(inst)
+        assert calls == [None]
+        peeled += 1
+    assert peeled > 200
 
 
 def rebuilding_flower_branch(s, comps, budgets, s_prime, paths, core_id):
