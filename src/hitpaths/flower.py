@@ -12,11 +12,12 @@ reduces to signed 2-SAT.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvariantViolation, ValidationError
-from .instance_io import Solution, certificate_for
+from .instance_io import Solution
 from .mvsat import GE, LE, SignedFormula, SignedLiteral, solve_tors2sat
 from .treecycle import Interval, chain, reach
 
@@ -120,50 +121,73 @@ def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance
     return FlowerInstance(core, petals, budgets, tuple(frozen), core_links, spans, tuple(crossing))
 
 
-class CanonicalTable(list):
-    """canonical_table's result: slot ell holds the canonical solution at
-    index ell or None, slot 0 is unused. `first` is the smallest defined
-    index (0 if none) and `maxima` the rightmost positions of the defined
-    solutions in index order."""
+class CanonicalTable(Sequence):
+    """canonical_table's result, indexed and compared like a list: slot ell
+    holds the canonical solution at index ell or None, slot 0 is unused, and
+    a solution is built only when its slot is read. `first` is the smallest
+    defined index (0 if none) and `maxima` the rightmost positions of the
+    defined solutions in index order."""
 
-    def __init__(self) -> None:
-        super().__init__([None])
-        self.first = 0
-        self.maxima: list[int] = []
+    def __init__(self, length: int, budget: int, r: list[int], first: int, maxima: list[int]):
+        self.length, self.budget, self.reach = length, budget, r
+        self.first, self.maxima = first, maxima
+
+    def __len__(self) -> int:
+        return self.length + 1
+
+    def __getitem__(self, ell: int) -> Optional[frozenset[int]]:
+        if not 0 <= ell <= self.length:
+            raise IndexError(f"slot {ell} out of range")
+        j = ell - self.first
+        if not 0 <= j < len(self.maxima):
+            return None
+        chosen = set(chain(self.reach, ell, self.length))
+        pad = self.length
+        while len(chosen) < self.budget:
+            chosen.add(pad)
+            pad -= 1
+        if min(chosen) != ell or max(chosen) != self.maxima[j]:
+            raise InvariantViolation(
+                f"canonical solution {ell} does not run from {ell} to {self.maxima[j]}"
+            )
+        return frozenset(chosen)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, CanonicalTable)):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def canonical_table(petal_length: int, internal_paths, budget: int) -> CanonicalTable:
-    """Canonical solutions for every index in O(L + |I| + output).
+    """Canonical solutions for every index in O(L + |I|), each built only
+    when its slot is read.
 
     The solution at ell is {ell} plus the earliest-right-endpoint greedy
-    over the intervals right of ell, which is chain(r, ell, L) over
+    over the (lo, hi) intervals right of ell, which is chain(r, ell, L) over
     r = reach(L, intervals). It is padded with the highest unused positions
     at or right of ell, and defined only when it then has exactly `budget`
     positions and no interval lies strictly left of ell (ell <= r[1]).
-    cnt[p] is the length of the chain from p.
+    cnt[p] is the length of the chain from p and end[p] its last pick, so a
+    defined solution ends at end[ell] when its chain fills the budget and
+    at L when it is padded. The defined indices must be contiguous.
     """
     length = petal_length
     r = reach(length, internal_paths)
     cnt = [0] * (length + 2)
+    end = [0] * (length + 2)
     for p in range(length, 0, -1):
-        cnt[p] = 1 + cnt[r[p + 1]]
-    table = CanonicalTable()
-    for ell in range(1, length + 1):
-        if ell > r[1] or not cnt[ell] <= budget <= length - ell + 1:
-            table.append(None)
-            continue
-        chosen = set(chain(r, ell, length))
-        pad = length
-        while len(chosen) < budget:
-            chosen.add(pad)
-            pad -= 1
-        if min(chosen) != ell:
-            raise InvariantViolation("canonical solution does not start at its index")
-        if not table.maxima:
-            table.first = ell
-        table.maxima.append(max(chosen))
-        table.append(frozenset(chosen))
-    return table
+        q = r[p + 1]
+        cnt[p] = 1 + cnt[q]
+        end[p] = end[q] or p
+    top = min(r[1], length, length + 1 - budget)  # the last index that can be defined
+    maxima: list[int] = []
+    for ell in range(1, top + 1):
+        c = cnt[ell]
+        if c <= budget:
+            maxima.append(end[ell] if c == budget else length)
+        elif maxima:
+            raise InvariantViolation("the canonical indices have gaps")
+    return CanonicalTable(length, budget, r, top + 1 - len(maxima) if maxima else 0, maxima)
 
 
 def fragment_literal(
@@ -194,36 +218,30 @@ def solve_flower(inst: FlowerInstance) -> Solution:
     petals holding its fragments. Each variable ranges over the ranks of
     the cut points its literals name, so the 2-SAT gets one boolean per cut
     point per petal. A satisfying assignment is decoded back into the union
-    of the selected canonical solutions.
+    of the selected canonical solutions, one table slot read per petal. The
+    answer carries no certificate: fpt._finish builds the instance's own.
     """
     n = len(inst.petals)
     if () in inst.crossing:  # a target that is the bare core
         return Solution("NO")
 
     tables = []
-    clauses: list[tuple[SignedLiteral, ...]] = []
+    clauses: list[tuple[tuple[int, str, int], ...]] = []  # (var, op, bound) literals
     for i, petal in enumerate(inst.petals):
-        ivs = [Interval(lo, hi) for lo, hi in inst.internal[i]]
-        table = canonical_table(len(petal), ivs, inst.budgets[i])
+        table = canonical_table(len(petal), inst.internal[i], inst.budgets[i])
         tables.append(table)
         if not table.maxima:
             return Solution("NO")
-        last = table.first + len(table.maxima) - 1
-        if None in table[table.first : last + 1]:
-            raise InvariantViolation(f"petal {i + 1} has gaps in its canonical indices")
-        clauses.append((SignedLiteral(i + 1, GE, table.first),))
-        clauses.append((SignedLiteral(i + 1, LE, last),))
+        clauses.append(((i + 1, GE, table.first),))
+        clauses.append(((i + 1, LE, table.first + len(table.maxima) - 1),))
 
     seen_clauses = set()
     for frags in inst.crossing:
-        lits = []
-        for i, iv in frags:
-            lit = fragment_literal(i + 1, iv, len(inst.petals[i]), tables[i])
-            if lit is not None:
-                lits.append(lit)
+        lits = [fragment_literal(i + 1, iv, len(inst.petals[i]), tables[i]) for i, iv in frags]
+        lits = [lit for lit in lits if lit is not None]
         if not lits:
             return Solution("NO")
-        key = tuple(sorted((l.var, l.op, l.bound) for l in lits))
+        key = tuple(sorted(lits))
         if key not in seen_clauses:
             seen_clauses.add(key)
             clauses.append(tuple(lits))
@@ -232,22 +250,23 @@ def solve_flower(inst: FlowerInstance) -> Solution:
     # points (b for >= b, b + 1 <= L for <= b, and 1 so that every index
     # has a rank) its index reaches, so rank r stands for the indices from
     # the r-th cut point up to the next one
+    distinct = set().union(*clauses)
     cuts = [{1} for _ in inst.petals]
-    for clause in clauses:
-        for lit in clause:
-            b = lit.bound if lit.op == GE else lit.bound + 1
-            if b <= len(inst.petals[lit.var - 1]):
-                cuts[lit.var - 1].add(b)
+    for var, op, bound in distinct:
+        b = bound if op == GE else bound + 1
+        if b <= len(inst.petals[var - 1]):
+            cuts[var - 1].add(b)
     cuts = [sorted(c) for c in cuts]
-
-    def ranked(lit: SignedLiteral) -> SignedLiteral:
-        c = cuts[lit.var - 1]
-        if lit.op == GE:
-            return SignedLiteral(lit.var, GE, bisect_left(c, lit.bound) + 1)
-        return SignedLiteral(lit.var, LE, bisect_right(c, lit.bound))
+    ranked = {}  # literal -> its SignedLiteral over ranks, built once
+    for var, op, bound in distinct:
+        c = cuts[var - 1]
+        rank = bisect_left(c, bound) + 1 if op == GE else bisect_right(c, bound)
+        ranked[var, op, bound] = SignedLiteral(var, op, rank)
 
     num_values = max(map(len, cuts), default=1)
-    formula = SignedFormula(n, num_values, tuple(tuple(map(ranked, cl)) for cl in clauses))
+    formula = SignedFormula(
+        n, num_values, tuple(tuple(map(ranked.__getitem__, cl)) for cl in clauses)
+    )
     assignment = solve_tors2sat(formula)
     if assignment is None:
         return Solution("NO")
@@ -266,7 +285,6 @@ def solve_flower(inst: FlowerInstance) -> Solution:
     for i, petal in enumerate(inst.petals):
         if len(chosen.intersection(petal)) != inst.budgets[i]:
             raise InvariantViolation(f"budget violated on petal {i + 1}")
-    cert = certificate_for(inst.paths, chosen)
-    if cert is None:
+    if any(map(chosen.isdisjoint, inst.paths)):
         raise InvariantViolation("reconstructed solution misses a path")
-    return Solution("YES", frozenset(chosen), cert)
+    return Solution("YES", frozenset(chosen))

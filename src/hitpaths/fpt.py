@@ -27,7 +27,7 @@ from .graph import (
     path_components,
 )
 from .instance_io import KIND_PATHS, HitPathsInstance, Solution, certificate_for
-from .treecycle import CycleArc, Interval, hit_paths_in_cycle, stab_intervals
+from .treecycle import CycleArc, hit_paths_in_cycle, stab_intervals
 
 
 @dataclass(frozen=True)
@@ -150,24 +150,34 @@ def component_budgets(g: Graph, s, paths) -> list[ComponentData]:
     walk over the targets also records which targets cover each component
     whole, for build_flower_branch, which must be given the same `paths`.
     """
-    comps = path_components(g, set(s))
+    s = set(s)
+    comps = path_components(g, s)
     comp_of = {}  # vertex -> component index
     where = {}  # vertex -> 1-based position in its component
     for ci, comp in enumerate(comps):
         comp_of.update(dict.fromkeys(comp.vertices, ci))
         where.update(zip(comp.vertices, range(1, len(comp.vertices) + 1)))
-    spans: list[list[Interval]] = [[] for _ in comps]
+    spans: list[list[tuple[int, int]]] = [[] for _ in comps]
     covered_by: list[set[int]] = [set() for _ in comps]
     for i, p in enumerate(paths):
-        cids = list(map(comp_of.get, p))
-        for ci in set(cids):
-            if ci is None:
-                continue
-            count = cids.count(ci)
-            if count == len(cids):
-                # a target inside an induced path runs from one end to the other
-                a, b = where[p[0]], where[p[-1]]
-                spans[ci].append(Interval(a, b) if a <= b else Interval(b, a))
+        if s.isdisjoint(p):
+            # a target inside an induced path runs from one end to the other
+            ci = comp_of[p[0]]
+            a, b = where[p[0]], where[p[-1]]
+            spans[ci].append((a, b) if a <= b else (b, a))
+            if len(p) == len(comps[ci].vertices):
+                covered_by[ci].add(i)
+            continue
+        # the runs of p outside s, each inside one component, as p[a:b]
+        marks = [*map(s.__contains__, p), True, False]
+        inside: dict[int, int] = {}  # component -> vertices of p in it
+        a = marks.index(False)
+        while a < len(p):
+            b = marks.index(True, a)
+            ci = comp_of[p[a]]
+            inside[ci] = inside.get(ci, 0) + b - a
+            a = marks.index(False, b)
+        for ci, count in inside.items():
             if count == len(comps[ci].vertices):
                 covered_by[ci].add(i)
     out = []
@@ -271,9 +281,8 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
     if pre.k - g.m + g.n > 1:  # more than one component
         g = connect_components(g)
     paths = pre.paths
-    adj = g.adjacency()
 
-    if all(len(adj[v]) == 2 for v in g.vertices()):
+    if g.m == g.n:  # connected with minimum degree 2: a simple cycle
         return _solve_cycle(inst, pre, g, paths)
 
     s = high_degree_set(g)

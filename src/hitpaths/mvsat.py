@@ -9,7 +9,7 @@ a linear-time implication-graph solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ClauseTooWide, InvariantViolation, ValidationError
 
@@ -17,8 +17,7 @@ GE = ">="
 LE = "<="
 
 
-@dataclass(frozen=True)
-class SignedLiteral:
+class SignedLiteral(NamedTuple):
     var: int
     op: str  # ">=" or "<="
     bound: int
@@ -35,13 +34,13 @@ class SignedFormula:
 
     def __post_init__(self):
         for clause in self.clauses:
-            for lit in clause:
-                if not (1 <= lit.var <= self.num_vars):
-                    raise ValidationError(f"variable x_{lit.var} out of range")
-                if not (1 <= lit.bound <= self.num_values):
-                    raise ValidationError(f"bound {lit.bound} out of range 1..{self.num_values}")
-                if lit.op not in (GE, LE):
-                    raise ValidationError(f"bad literal op {lit.op!r}")
+            for var, op, bound in clause:
+                if not (1 <= var <= self.num_vars):
+                    raise ValidationError(f"variable x_{var} out of range")
+                if not (1 <= bound <= self.num_values):
+                    raise ValidationError(f"bound {bound} out of range 1..{self.num_values}")
+                if op not in (GE, LE):
+                    raise ValidationError(f"bad literal op {op!r}")
 
 
 @dataclass(frozen=True)
@@ -76,14 +75,14 @@ def signed_to_classical(f: SignedFormula) -> tuple[BoolCnf, Callable[[list[bool]
             raise ClauseTooWide(f"clause of width {len(clause)} (max 2)")
         lits = []
         dropped = False
-        for lit in clause:
-            if lit.op == GE:
-                lits.append(bvar(lit.var, lit.bound))
-            elif lit.bound == nvals:
+        for var, op, bound in clause:
+            if op == GE:
+                lits.append(bvar(var, bound))
+            elif bound == nvals:
                 dropped = True
                 break
             else:
-                lits.append(-bvar(lit.var, lit.bound + 1))
+                lits.append(-bvar(var, bound + 1))
         if not dropped:
             out.append(tuple(lits))
     for i in range(1, n + 1):

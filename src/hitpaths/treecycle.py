@@ -4,28 +4,30 @@ One greedy serves lines, petals and cycles: reach(length, intervals) is a
 right-to-left pass giving, for each position, the smallest right end among
 the intervals starting there or later, and chain walks the earliest-right-
 endpoint greedy over it. stab_intervals is the chain from reach[1];
-flower.canonical_table walks it from every index of a petal; and
-hit_paths_in_cycle walks it from each vertex of a shortest arc on the
+flower.canonical_table walks it from an index only when that slot is read;
+and hit_paths_in_cycle walks it from each vertex of a shortest arc on the
 cycle unrolled twice, in O(L + |arcs|) overall.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Positions lo..hi (1-based, inclusive) on a path component."""
+class Interval(namedtuple("Interval", "lo hi")):
+    """Positions lo..hi (1-based, inclusive) on a path component. It is a
+    (lo, hi) pair, and reach takes plain pairs too, so the spans of a
+    canonical table reach its O(L + |I|) pass unwrapped."""
 
-    lo: int
-    hi: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValidationError(f"interval [{self.lo},{self.hi}] is reversed")
+    def __new__(cls, lo: int, hi: int):
+        if lo > hi:
+            raise ValidationError(f"interval [{lo},{hi}] is reversed")
+        return tuple.__new__(cls, (lo, hi))
 
 
 @dataclass(frozen=True)
@@ -43,14 +45,14 @@ class CycleArc:
 
 
 def reach(length: int, intervals) -> list[int]:
-    """Slot p (1..length + 1) holds the smallest right end among intervals
-    with lo >= p, or length + 1 if there is none."""
+    """Slot p (1..length + 1) holds the smallest right end among the (lo, hi)
+    intervals with lo >= p, or length + 1 if there is none; O(L + |I|)."""
     r = [length + 1] * (length + 2)
-    for iv in intervals:
-        if not (1 <= iv.lo <= iv.hi <= length):
-            raise ValidationError(f"interval [{iv.lo},{iv.hi}] out of range for length {length}")
-        if iv.hi < r[iv.lo]:
-            r[iv.lo] = iv.hi
+    for lo, hi in intervals:
+        if not (1 <= lo <= hi <= length):
+            raise ValidationError(f"interval [{lo},{hi}] out of range for length {length}")
+        if hi < r[lo]:
+            r[lo] = hi
     for p in range(length - 1, 0, -1):
         if r[p + 1] < r[p]:
             r[p] = r[p + 1]
@@ -69,7 +71,7 @@ def chain(r: list[int], p: int, stop: int) -> list[int]:
 
 
 def stab_intervals(length: int, intervals) -> tuple[int, frozenset[int]]:
-    """Minimum set of positions meeting every interval; greedy by right end."""
+    """Minimum set of positions meeting every (lo, hi) interval; greedy by right end."""
     r = reach(length, intervals)
     picked = chain(r, r[1], length)
     return len(picked), frozenset(picked)
@@ -104,6 +106,6 @@ def hit_paths_in_cycle(cycle_length: int, arcs) -> tuple[int, frozenset[int]]:
     shortest = min(arcs, key=lambda a: a.length(L))
     shift = shortest.lo - 1  # cycle position q lies at (q - 1 - shift) % L + 1
     starts = ((a, (a.lo - 1 - shift) % L + 1) for a in arcs)
-    r = reach(2 * L, [Interval(lo, lo + a.length(L) - 1) for a, lo in starts])
+    r = reach(2 * L, [(lo, lo + a.length(L) - 1) for a, lo in starts])
     best = min((chain(r, x, x + L - 1) for x in range(1, shortest.length(L) + 1)), key=len)
     return len(best), frozenset((q - 1 + shift) % L + 1 for q in best)

@@ -3,8 +3,9 @@
 Small and slow on purpose: lexicographic enumeration of signed formulas,
 exact-budget enumeration for flowers, and naive clique search. Also the
 earlier, simpler versions of rewritten package code: the two-pass instance
-parse and the set-building target checks. The package itself never calls
-them.
+parse, the set-building target checks, the canonical table that builds
+every solution up front and the per-vertex component classification. The
+package itself never calls them.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import math
 from typing import Optional
 
 from hitpaths.errors import CapExceeded, ParseError, ValidationError
+from hitpaths.errors import InvariantViolation
 from hitpaths.flower import FlowerInstance
-from hitpaths.graph import Graph
+from hitpaths.fpt import ComponentData
+from hitpaths.graph import Graph, path_components
 from hitpaths.instance_io import (
     KIND_PATHS,
     KIND_SUBGRAPHS,
@@ -27,6 +30,7 @@ from hitpaths.instance_io import (
 )
 from hitpaths.mvsat import SignedFormula, SignedLiteral
 from hitpaths.oracle import default_cap
+from hitpaths.treecycle import Interval, chain, reach, stab_intervals
 
 
 def enumerate_signed(f: SignedFormula, cap: int = 10**8) -> Optional[tuple[int, ...]]:
@@ -186,3 +190,60 @@ def certificate_for_sets(paths, chosen) -> Optional[tuple[int, ...]]:
             return None
         cert.append(min(hits))
     return tuple(cert)
+
+
+def eager_canonical_table(petal_length: int, internal_paths, budget: int):
+    """The earlier canonical_table, which builds every defined solution up
+    front in O(L + |I| + output): (slots, first, maxima), with slot ell the
+    solution at index ell or None and slot 0 unused."""
+    length = petal_length
+    r = reach(length, internal_paths)
+    cnt = [0] * (length + 2)
+    for p in range(length, 0, -1):
+        cnt[p] = 1 + cnt[r[p + 1]]
+    slots, first, maxima = [None], 0, []
+    for ell in range(1, length + 1):
+        if ell > r[1] or not cnt[ell] <= budget <= length - ell + 1:
+            slots.append(None)
+            continue
+        chosen = set(chain(r, ell, length))
+        pad = length
+        while len(chosen) < budget:
+            chosen.add(pad)
+            pad -= 1
+        if min(chosen) != ell:
+            raise InvariantViolation("canonical solution does not start at its index")
+        if not maxima:
+            first = ell
+        maxima.append(max(chosen))
+        slots.append(frozenset(chosen))
+    return slots, first, maxima
+
+
+def classifying_component_budgets(g: Graph, s, paths) -> list[ComponentData]:
+    """The earlier component_budgets, which looks up the component of every
+    target vertex and counts each component's share with list.count."""
+    comps = path_components(g, set(s))
+    comp_of = {}
+    where = {}
+    for ci, comp in enumerate(comps):
+        comp_of.update(dict.fromkeys(comp.vertices, ci))
+        where.update(zip(comp.vertices, range(1, len(comp.vertices) + 1)))
+    spans: list[list[Interval]] = [[] for _ in comps]
+    covered_by: list[set[int]] = [set() for _ in comps]
+    for i, p in enumerate(paths):
+        cids = list(map(comp_of.get, p))
+        for ci in set(cids):
+            if ci is None:
+                continue
+            count = cids.count(ci)
+            if count == len(cids):
+                a, b = where[p[0]], where[p[-1]]
+                spans[ci].append(Interval(a, b) if a <= b else Interval(b, a))
+            if count == len(comps[ci].vertices):
+                covered_by[ci].add(i)
+    out = []
+    for comp, comp_spans, cover in zip(comps, spans, covered_by):
+        opt, pts = stab_intervals(len(comp.vertices), comp_spans)
+        out.append(ComponentData(comp, opt, pts, frozenset(cover)))
+    return out

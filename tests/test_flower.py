@@ -20,7 +20,7 @@ from hitpaths import (
 from hitpaths.flower import FlowerInstance
 
 from conftest import covers, random_flower
-from reference import flower_bruteforce
+from reference import eager_canonical_table, flower_bruteforce
 
 PETAL = [Interval(2, 3), Interval(5, 5)]  # on a petal of length 5, budget 2
 
@@ -179,6 +179,23 @@ def test_canonical_table_matches_rescanning_reference():
                 for ell in range(1, length + 1)
             ]
             assert canonical_table(length, given, budget) == expected
+
+
+def test_canonical_table_matches_eager_reference():
+    # the same petals as above, against the table that builds every
+    # solution up front: slots, first index and maxima must all agree
+    rng = random.Random(59)
+    for _ in range(2500):
+        length = rng.randint(1, 12)
+        ivs = random_petal_intervals(rng, length)
+        budget = rng.randint(1, length + 1)
+        distinct = [Interval(lo, hi) for lo, hi in sorted({(iv.lo, iv.hi) for iv in ivs})]
+        for given in (ivs, distinct):
+            slots, first, maxima = eager_canonical_table(length, given, budget)
+            table = canonical_table(length, given, budget)
+            assert table == slots and len(table) == length + 1
+            assert (table.first, table.maxima) == (first, maxima)
+            assert all(m == max(table[first + j]) for j, m in enumerate(table.maxima))
 
 
 def classify_by_second_walk(inst):

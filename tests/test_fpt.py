@@ -1,7 +1,9 @@
 import random
 import re
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,11 @@ from hitpaths.graph import high_degree_set
 from hitpaths.instance_io import KIND_SUBGRAPHS, unhit_targets
 from hitpaths.oracle import SetSystem, exact_min_hitting_set
 from hitpaths.reductions import GeneratorConfig, gen_random_instance
+
+from reference import classifying_component_budgets
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 TRIANGLE = Graph.build(3, [(1, 2), (2, 3), (1, 3)])
 C4_CHORD = Graph.build(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)])
@@ -613,6 +620,94 @@ def test_long_flower_branch_is_linear():
     check_yes(inst, sol)
     # the first branch keeps z out and takes one vertex per petal via 2-SAT
     assert stats.flower_calls == 1 and z not in sol.chosen
+
+
+def test_long_petal_at_opt_plus_one_is_linear():
+    # a core joined to both ends of three petals: two of 3 vertices with a
+    # singleton target in the middle, one of 8,000 vertices with singleton
+    # targets on every other position of its right half; at t = opt + 1 the
+    # long petal's canonical solutions hold about 2,000 positions each,
+    # which the earlier table built for every index
+    z, nxt, edges, targets = 1, 2, [], []
+    for length in (3, 3, 8000):
+        p = list(range(nxt, nxt + length))
+        nxt += length
+        edges += [(z, p[0]), *zip(p, p[1:]), (p[-1], z)]
+        targets += [(p[j],) for j in range(length // 2, length, 2)]
+    inst = make_instance(Graph.build(nxt - 1, edges), targets, len(targets) + 1)
+    stats = SolveStats()
+    t0 = time.perf_counter()
+    sol = solve(inst, stats)
+    assert time.perf_counter() - t0 < 0.5
+    check_yes(inst, sol)
+    assert stats.flower_calls == 1
+
+
+def random_walk_targets(rng, g, count):
+    """Self-avoiding random walks of g, which often leave a component of
+    G - S through S and come back into it."""
+    adj = g.adjacency()
+    targets = []
+    for _ in range(count):
+        walk = [rng.randint(1, g.n)]
+        for _ in range(rng.randint(0, g.n)):
+            free = sorted(adj[walk[-1]].difference(walk))
+            if not free:
+                break
+            walk.append(rng.choice(free))
+        targets.append(tuple(walk))
+    return targets
+
+
+def assert_same_budgets(g, s, paths):
+    got = component_budgets(g, s, paths)
+    want = classifying_component_budgets(g, s, paths)
+    assert [(cd.component, cd.opt, cd.greedy, cd.covered_by) for cd in got] == [
+        (cd.component, cd.opt, cd.greedy, cd.covered_by) for cd in want
+    ]
+    return got
+
+
+def test_component_budgets_matches_classifying_reference():
+    rng = random.Random(107)
+    residuals = reentering = covering = 0
+    seed = 0
+    while residuals < 300:
+        seed += 1
+        k = rng.randint(2, 4)
+        inst = gen_random_instance(
+            GeneratorConfig(seed=7000 + seed, k=k, n=rng.randint(k + 3, 16),
+                            num_paths=rng.randint(0, 12), max_path_len=rng.randint(1, 8),
+                            t_policy="random")
+        )
+        pre = preprocess(inst)
+        if pre.graph.n == 0:
+            continue
+        g = connect_components(pre.graph)
+        s = high_degree_set(g)
+        if not s:
+            continue
+        residuals += 1
+        paths = [*pre.paths, *random_walk_targets(rng, g, 10)]
+        comps = assert_same_budgets(g, s, paths)
+        comp_of = {v: ci for ci, cd in enumerate(comps) for v in cd.component.vertices}
+        for p in paths:
+            cids = [comp_of.get(v) for v in p]
+            runs = [c for c, prev in zip(cids, [None, *cids]) if c is not None and c != prev]
+            reentering += len(runs) > len(set(runs))
+        covering += sum(bool(cd.covered_by) for cd in comps)
+    assert reentering > 150 and covering > 100, (reentering, covering)
+    for workload in ("scaling", "large", "flower"):
+        cases, seed = [], 0
+        while len(cases) < 40:
+            seed += 1
+            cases += workloads.generate(workload, seed)
+        for case in cases[:40]:
+            pre = preprocess(parse_instance(case.text))
+            g = connect_components(pre.graph) if pre.graph.n else pre.graph
+            s = high_degree_set(g)
+            if s:
+                assert_same_budgets(g, s, pre.paths)
 
 
 def scanning_solve(inst):
