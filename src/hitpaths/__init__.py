@@ -62,7 +62,6 @@ from .reductions import (
     signed3sat_to_subtree_instance,
 )
 from .treecycle import (
-    CycleArc,
     Interval,
     hit_paths_in_cycle,
     stab_intervals,

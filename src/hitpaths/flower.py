@@ -11,7 +11,7 @@ reduces to signed 2-SAT.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -215,25 +215,26 @@ def solve_flower(inst: FlowerInstance) -> Solution:
     Builds the signed 2-CNF over one index variable per petal: unit clauses
     bound each variable to its petal's well-defined canonical range, and
     each core-crossing target contributes a clause over the (at most two)
-    petals holding its fragments. Each variable ranges over the ranks of
-    the cut points its literals name, so the 2-SAT gets one boolean per cut
-    point per petal. A satisfying assignment is decoded back into the union
-    of the selected canonical solutions, one table slot read per petal. The
-    answer carries no certificate: fpt._finish builds the instance's own.
+    petals holding its fragments. A variable ranges over its petal's
+    indices (N is the longest petal), and the 2-SAT translation gives it one
+    boolean per threshold its literals name. A satisfying assignment is
+    decoded back into the union of the selected canonical solutions, one
+    table slot read per petal. The answer carries no certificate:
+    fpt._finish builds the instance's own.
     """
     n = len(inst.petals)
     if () in inst.crossing:  # a target that is the bare core
         return Solution("NO")
 
     tables = []
-    clauses: list[tuple[tuple[int, str, int], ...]] = []  # (var, op, bound) literals
+    clauses: list[tuple[SignedLiteral, ...]] = []
     for i, petal in enumerate(inst.petals):
         table = canonical_table(len(petal), inst.internal[i], inst.budgets[i])
         tables.append(table)
         if not table.maxima:
             return Solution("NO")
-        clauses.append(((i + 1, GE, table.first),))
-        clauses.append(((i + 1, LE, table.first + len(table.maxima) - 1),))
+        clauses.append((SignedLiteral(i + 1, GE, table.first),))
+        clauses.append((SignedLiteral(i + 1, LE, table.first + len(table.maxima) - 1),))
 
     seen_clauses = set()
     for frags in inst.crossing:
@@ -246,35 +247,14 @@ def solve_flower(inst: FlowerInstance) -> Solution:
             seen_clauses.add(key)
             clauses.append(tuple(lits))
 
-    # rank compression: a petal's literals only ask which of their cut
-    # points (b for >= b, b + 1 <= L for <= b, and 1 so that every index
-    # has a rank) its index reaches, so rank r stands for the indices from
-    # the r-th cut point up to the next one
-    distinct = set().union(*clauses)
-    cuts = [{1} for _ in inst.petals]
-    for var, op, bound in distinct:
-        b = bound if op == GE else bound + 1
-        if b <= len(inst.petals[var - 1]):
-            cuts[var - 1].add(b)
-    cuts = [sorted(c) for c in cuts]
-    ranked = {}  # literal -> its SignedLiteral over ranks, built once
-    for var, op, bound in distinct:
-        c = cuts[var - 1]
-        rank = bisect_left(c, bound) + 1 if op == GE else bisect_right(c, bound)
-        ranked[var, op, bound] = SignedLiteral(var, op, rank)
-
-    num_values = max(map(len, cuts), default=1)
-    formula = SignedFormula(
-        n, num_values, tuple(tuple(map(ranked.__getitem__, cl)) for cl in clauses)
-    )
-    assignment = solve_tors2sat(formula)
+    longest = max(map(len, inst.petals), default=1)
+    assignment = solve_tors2sat(SignedFormula(n, longest, tuple(clauses)))
     if assignment is None:
         return Solution("NO")
 
     chosen: set[int] = set()
     for i, petal in enumerate(inst.petals):
-        # decode a rank to the smallest index of its cell
-        sol = tables[i][cuts[i][assignment[i] - 1]]
+        sol = tables[i][assignment[i]]
         if sol is None:
             raise InvariantViolation(f"assignment picked an undefined index on petal {i + 1}")
         chosen.update(petal[p - 1] for p in sol)

@@ -27,7 +27,7 @@ from .graph import (
     path_components,
 )
 from .instance_io import KIND_PATHS, HitPathsInstance, Solution, certificate_for
-from .treecycle import CycleArc, hit_paths_in_cycle, stab_intervals
+from .treecycle import hit_paths_in_cycle, stab_intervals
 
 
 @dataclass(frozen=True)
@@ -346,42 +346,27 @@ def _check_branch_bound(stats: SolveStats, k: int) -> None:
 
 
 def _solve_cycle(inst, pre: PreprocessResult, g: Graph, paths) -> Solution:
-    """Residual graph is a single cycle: solve its arcs exactly."""
-    adj = g.adjacency()
-    order = [1]
-    prev: Optional[int] = None
-    while len(order) < g.n:
-        cur = order[-1]
-        nxt = min(w for w in adj[cur] if w != prev)
-        order.append(nxt)
-        prev = cur
-    pos = {v: i + 1 for i, v in enumerate(order)}
-    length = g.n
+    """Residual graph is a single cycle: solve its arcs exactly.
 
+    The cycle is laid out from vertex 1 towards its smaller neighbour. A
+    target runs along that layout either forwards from its first vertex or
+    backwards from its last, so its arc starts at one of its ends; its
+    stretch of the layout, unrolled twice, must equal it either way round.
+    """
+    order = (1, *path_components(g, {1})[0].vertices)
+    pos = {v: q for q, v in enumerate(order, 1)}
+    twice = order + order
     arcs = []
-    full = 0
     for p in paths:
-        ps = sorted(pos[v] for v in p)
-        if len(ps) == length:
-            full += 1
-            continue
-        arcs.append(_positions_to_arc(ps, length))
-    size, pts = hit_paths_in_cycle(length, arcs)
-    if size == 0 and full:
-        size, pts = 1, frozenset({1})
+        start = pos[p[0]]
+        if len(p) > 1 and twice[start] != p[1]:  # runs backwards
+            start = pos[p[-1]]
+        run = twice[start - 1 : start - 1 + len(p)]
+        if run != p and run[::-1] != p:
+            raise InvariantViolation(f"target {p} is not an arc of the cycle")
+        arcs.append((start, len(p)))
+    size, pts = hit_paths_in_cycle(g.n, arcs)
     if size > pre.t_remaining:
         return Solution("NO")
     chosen = set(pre.forced) | {pre.new_to_old[order[q - 1]] for q in pts}
     return _finish(inst, chosen)
-
-
-def _positions_to_arc(ps: list[int], length: int) -> CycleArc:
-    """Sorted distinct cycle positions covering a contiguous arc -> CycleArc."""
-    gaps = [(b - a) % length for a, b in zip(ps, ps[1:] + ps[:1])]
-    big = max(range(len(gaps)), key=lambda i: gaps[i])
-    lo = ps[(big + 1) % len(ps)]
-    hi = ps[big]
-    arc = CycleArc(lo, hi)
-    if arc.length(length) != len(ps):
-        raise InvariantViolation(f"positions {ps} do not form an arc of the cycle")
-    return arc

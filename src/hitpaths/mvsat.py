@@ -2,8 +2,9 @@
 
 Variables x_1..x_n take values in [N]; literals constrain a variable with
 x_i >= b or x_i <= b. Width-2 formulas are decided by translation to
-classical 2-SAT (boolean variables B_{i,j} meaning "x_i >= j") followed by
-a linear-time implication-graph solver.
+classical 2-SAT, with one boolean [x_i >= j] per threshold j that some
+literal names, so the translation's size is linear in the formula, not N,
+followed by a linear-time implication-graph solver.
 """
 
 from __future__ import annotations
@@ -58,46 +59,39 @@ def satisfies(f: SignedFormula, values) -> bool:
 def signed_to_classical(f: SignedFormula) -> tuple[BoolCnf, Callable[[list[bool]], tuple[int, ...]]]:
     """Encode a width-<=2 signed formula as classical 2-SAT.
 
-    Boolean variable (i-1)*N + j stands for [x_i >= j]. A literal x_i >= b
-    maps to that variable; x_i <= b maps to the negation of [x_i >= b+1],
-    except that x_i <= N always holds and drops its whole clause. Chain
-    clauses enforce monotonicity and units force [x_i >= 1]. The decoder
-    reads x_i as the largest j with [x_i >= j] true.
+    A variable gets one boolean [x_i >= j] per threshold j that some literal
+    names: j = b for x_i >= b, and j = b + 1 for x_i <= b, which maps to the
+    negation of [x_i >= b + 1]. The booleans are numbered 1, 2, ... in
+    (variable, threshold) order. A literal x_i >= 1 or x_i <= N always holds
+    and drops its whole clause. Chain clauses link each variable's
+    consecutive named thresholds, so the true ones form a prefix, and the
+    decoder reads x_i as its largest named threshold whose boolean is true,
+    else 1. The CNF has O(|clauses|) booleans and clauses, whatever N is.
     """
     n, nvals = f.num_vars, f.num_values
-
-    def bvar(i: int, j: int) -> int:
-        return (i - 1) * nvals + j
-
-    out: list[tuple[int, ...]] = []
+    kept = []  # per clause that can fail, its (var, threshold, is >=) literals
     for clause in f.clauses:
         if len(clause) > 2:
             raise ClauseTooWide(f"clause of width {len(clause)} (max 2)")
-        lits = []
-        dropped = False
-        for var, op, bound in clause:
-            if op == GE:
-                lits.append(bvar(var, bound))
-            elif bound == nvals:
-                dropped = True
+        lits = [(v, b, True) if op == GE else (v, b + 1, False) for v, op, b in clause]
+        for _, j, _ in lits:
+            if j == 1 or j > nvals:  # x >= 1 or x <= N: the clause always holds
                 break
-            else:
-                lits.append(-bvar(var, bound + 1))
-        if not dropped:
-            out.append(tuple(lits))
-    for i in range(1, n + 1):
-        out.append((bvar(i, 1),))
-        for j in range(1, nvals):
-            out.append((-bvar(i, j + 1), bvar(i, j)))
+        else:
+            kept.append(lits)
+    named = sorted({(var, j) for lits in kept for var, j, _ in lits})
+    bvar = {key: b for b, key in enumerate(named, 1)}
+    out = [tuple([bvar[var, j] if ge else -bvar[var, j] for var, j, ge in lits]) for lits in kept]
+    out += [(-bvar[hi], bvar[lo]) for lo, hi in zip(named, named[1:]) if lo[0] == hi[0]]
 
     def decode(model: list[bool]) -> tuple[int, ...]:
-        values = []
-        for i in range(1, n + 1):
-            top = max(j for j in range(1, nvals + 1) if model[bvar(i, j)])
-            values.append(top)
+        values = [1] * n
+        for (var, j), b in bvar.items():  # ascending, so the largest true threshold wins
+            if model[b]:
+                values[var - 1] = j
         return tuple(values)
 
-    return BoolCnf(n * nvals, tuple(out)), decode
+    return BoolCnf(len(bvar), tuple(out)), decode
 
 
 def solve_2sat(cnf: BoolCnf) -> Optional[list[bool]]:

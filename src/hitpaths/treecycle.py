@@ -6,13 +6,13 @@ the intervals starting there or later, and chain walks the earliest-right-
 endpoint greedy over it. stab_intervals is the chain from reach[1];
 flower.canonical_table walks it from an index only when that slot is read;
 and hit_paths_in_cycle walks it from each vertex of a shortest arc on the
-cycle unrolled twice, in O(L + |arcs|) overall.
+cycle unrolled twice, in O(L + |arcs|) overall. A cycle arc is a plain
+(start, size) pair, and a line interval a (lo, hi) pair.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -28,20 +28,6 @@ class Interval(namedtuple("Interval", "lo hi")):
         if lo > hi:
             raise ValidationError(f"interval [{lo},{hi}] is reversed")
         return tuple.__new__(cls, (lo, hi))
-
-
-@dataclass(frozen=True)
-class CycleArc:
-    """Positions along a cycle from lo to hi going in increasing direction;
-    lo > hi wraps around the end."""
-
-    lo: int
-    hi: int
-
-    def length(self, cycle_length: int) -> int:
-        if self.lo <= self.hi:
-            return self.hi - self.lo + 1
-        return cycle_length - self.lo + 1 + self.hi
 
 
 def reach(length: int, intervals) -> list[int]:
@@ -80,32 +66,32 @@ def stab_intervals(length: int, intervals) -> tuple[int, frozenset[int]]:
 def hit_paths_in_cycle(cycle_length: int, arcs) -> tuple[int, frozenset[int]]:
     """Exact minimum piercing of vertex arcs on a cycle in O(L + |arcs|).
 
-    Some optimum contains a vertex x of a shortest arc A*, and once x is
-    chosen the cycle opens into the path x+1..x+L-1, where the greedy by
-    right end is optimal. The cycle is rotated so that A* is 1..|A*| and
-    every arc is laid on a line of 2L from its rotated start on. An arc
-    missing x cannot end before x (it would be shorter than A*), so it lies
-    inside x+1..x+L-1 and the greedy after x is chain(r, x, x + L - 1); an
-    arc through x starts at or before x or ends at or after x + L, so it
-    never sways that walk. Consecutive
-    picks lie at least |A*| apart, so the |A*| walks take O(L) steps
-    together. Among optima, the walk from the smallest x wins.
+    An arc is a (start, size) pair: the size positions start, start + 1, ...
+    going round the cycle, with 1 <= size <= L. Some optimum contains a
+    vertex x of a shortest arc A*, and once x is chosen the cycle opens
+    into the path x+1..x+L-1, where the greedy by right end is optimal. The
+    cycle is rotated so that A* is 1..|A*| and every arc is laid on a line
+    of 2L from its rotated start on. An arc missing x cannot end before x
+    (it would be shorter than A*), so it lies inside x+1..x+L-1 and the
+    greedy after x is chain(r, x, x + L - 1); an arc through x, a
+    whole-cycle arc among them, starts at or before x or ends at or after
+    x + L, so it never sways that walk. Consecutive picks lie at least |A*|
+    apart, so the |A*| walks take O(L) steps together. Among optima, the
+    walk from the smallest x wins.
     """
     L = cycle_length
     if L < 3:
         raise ValidationError(f"cycle length {L} below 3")
     arcs = list(arcs)
-    for arc in arcs:
-        if not (1 <= arc.lo <= L and 1 <= arc.hi <= L):
-            raise ValidationError(f"arc ({arc.lo},{arc.hi}) out of range")
-        if arc.length(L) >= L:
-            raise ValidationError("arc covers the whole cycle")
+    for start, size in arcs:
+        if not (1 <= start <= L and 1 <= size <= L):
+            raise ValidationError(f"arc ({start},{size}) out of range")
     if not arcs:
         return 0, frozenset()
 
-    shortest = min(arcs, key=lambda a: a.length(L))
-    shift = shortest.lo - 1  # cycle position q lies at (q - 1 - shift) % L + 1
-    starts = ((a, (a.lo - 1 - shift) % L + 1) for a in arcs)
-    r = reach(2 * L, [(lo, lo + a.length(L) - 1) for a, lo in starts])
-    best = min((chain(r, x, x + L - 1) for x in range(1, shortest.length(L) + 1)), key=len)
+    start, shortest = min(arcs, key=lambda a: a[1])
+    shift = start - 1  # cycle position q lies at (q - 1 - shift) % L + 1
+    starts = (((a - 1 - shift) % L + 1, size) for a, size in arcs)
+    r = reach(2 * L, [(lo, lo + size - 1) for lo, size in starts])
+    best = min((chain(r, x, x + L - 1) for x in range(1, shortest + 1)), key=len)
     return len(best), frozenset((q - 1 + shift) % L + 1 for q in best)

@@ -22,11 +22,11 @@ def brute_min_hitting(n: int, sets) -> int | None:
     return None
 
 
-def covers(arc, pos: int) -> bool:
-    """Whether an Interval, or a CycleArc that wraps when lo > hi, holds pos."""
-    if arc.lo <= arc.hi:
-        return arc.lo <= pos <= arc.hi
-    return pos >= arc.lo or pos <= arc.hi
+def covers(arc, pos: int, cycle_length: int) -> bool:
+    """Whether the (start, size) arc of a cycle of cycle_length positions
+    holds pos."""
+    start, size = arc
+    return (pos - start) % cycle_length < size
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

@@ -2,19 +2,20 @@
 
 Small and slow on purpose: lexicographic enumeration of signed formulas,
 exact-budget enumeration for flowers, and naive clique search. Also the
-earlier, simpler versions of rewritten package code: the two-pass instance
-parse, the set-building target checks, the canonical table that builds
-every solution up front and the per-vertex component classification. The
-package itself never calls them.
+earlier, simpler versions of rewritten package code: the dense 2-SAT
+encoding with a boolean for every value of every variable, the two-pass
+instance parse, the set-building target checks, the canonical table that
+builds every solution up front and the per-vertex component classification.
+The package itself never calls them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional
+from typing import Callable, Optional
 
-from hitpaths.errors import CapExceeded, ParseError, ValidationError
+from hitpaths.errors import CapExceeded, ClauseTooWide, ParseError, ValidationError
 from hitpaths.errors import InvariantViolation
 from hitpaths.flower import FlowerInstance
 from hitpaths.fpt import ComponentData
@@ -28,7 +29,7 @@ from hitpaths.instance_io import (
     certificate_for,
     make_instance,
 )
-from hitpaths.mvsat import SignedFormula, SignedLiteral
+from hitpaths.mvsat import GE, BoolCnf, SignedFormula, SignedLiteral
 from hitpaths.oracle import default_cap
 from hitpaths.treecycle import Interval, chain, reach, stab_intervals
 
@@ -66,6 +67,51 @@ def enumerate_signed(f: SignedFormula, cap: int = 10**8) -> Optional[tuple[int, 
         ):
             depth += 1
     return None
+
+
+def dense_signed_to_classical(
+    f: SignedFormula,
+) -> tuple[BoolCnf, Callable[[list[bool]], tuple[int, ...]]]:
+    """The earlier signed_to_classical, with all N threshold booleans of
+    every variable: boolean (i-1)*N + j stands for [x_i >= j]. A literal
+    x_i >= b maps to that boolean; x_i <= b maps to the negation of
+    [x_i >= b+1], except that x_i <= N always holds and drops its whole
+    clause. Chain clauses enforce monotonicity and units force [x_i >= 1].
+    The decoder reads x_i as the largest j with [x_i >= j] true."""
+    n, nvals = f.num_vars, f.num_values
+
+    def bvar(i: int, j: int) -> int:
+        return (i - 1) * nvals + j
+
+    out: list[tuple[int, ...]] = []
+    for clause in f.clauses:
+        if len(clause) > 2:
+            raise ClauseTooWide(f"clause of width {len(clause)} (max 2)")
+        lits = []
+        dropped = False
+        for var, op, bound in clause:
+            if op == GE:
+                lits.append(bvar(var, bound))
+            elif bound == nvals:
+                dropped = True
+                break
+            else:
+                lits.append(-bvar(var, bound + 1))
+        if not dropped:
+            out.append(tuple(lits))
+    for i in range(1, n + 1):
+        out.append((bvar(i, 1),))
+        for j in range(1, nvals):
+            out.append((-bvar(i, j + 1), bvar(i, j)))
+
+    def decode(model: list[bool]) -> tuple[int, ...]:
+        values = []
+        for i in range(1, n + 1):
+            top = max(j for j in range(1, nvals + 1) if model[bvar(i, j)])
+            values.append(top)
+        return tuple(values)
+
+    return BoolCnf(n * nvals, tuple(out)), decode
 
 
 def flower_bruteforce(inst: FlowerInstance, cap: Optional[int] = None) -> Solution:

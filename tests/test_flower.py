@@ -13,14 +13,14 @@ from hitpaths import (
     canonical_table,
     fragment_literal,
     make_flower,
+    solve_2sat,
     solve_flower,
-    solve_tors2sat,
     stab_intervals,
 )
 from hitpaths.flower import FlowerInstance
 
-from conftest import covers, random_flower
-from reference import eager_canonical_table, flower_bruteforce
+from conftest import random_flower
+from reference import dense_signed_to_classical, eager_canonical_table, flower_bruteforce
 
 PETAL = [Interval(2, 3), Interval(5, 5)]  # on a petal of length 5, budget 2
 
@@ -56,7 +56,7 @@ def test_canonical_laws_random():
         for ell in defined:
             sol = table[ell]
             assert min(sol) == ell and len(sol) == b
-            assert all(any(covers(iv, p) for p in sol) for iv in ivs)
+            assert all(any(iv.lo <= p <= iv.hi for p in sol) for iv in ivs)
         # defined indices are contiguous
         if defined:
             assert defined == list(range(defined[0], defined[-1] + 1))
@@ -132,7 +132,7 @@ def rescanning_canonical_solution(petal_length, internal_paths, budget, ell):
         return None
     chosen = {ell}
     while True:
-        unhit = [iv for iv in internal_paths if not any(covers(iv, p) for p in chosen)]
+        unhit = [iv for iv in internal_paths if not any(iv.lo <= p <= iv.hi for p in chosen)]
         if not unhit:
             break
         chosen.add(min(iv.hi for iv in unhit))
@@ -283,7 +283,8 @@ def test_make_flower_split_hand_cases():
 def uncompressed_verdict(inst):
     """The earlier formula construction, kept as the reference: one signed
     variable per petal over 1..(longest petal), suffix literals found by
-    scanning every index. Returns the verdict and where it was decided."""
+    scanning every index, decided through the dense 2-SAT encoding with a
+    boolean per value. Returns the verdict and where it was decided."""
     if () in inst.crossing:
         return "NO", "core"
     tables = []
@@ -314,7 +315,8 @@ def uncompressed_verdict(inst):
         clauses.append(tuple(lits))
     num_values = max(len(p) for p in inst.petals)
     formula = SignedFormula(len(inst.petals), num_values, tuple(clauses))
-    return ("NO" if solve_tors2sat(formula) is None else "YES"), "2-SAT"
+    model = solve_2sat(dense_signed_to_classical(formula)[0])
+    return ("NO" if model is None else "YES"), "2-SAT"
 
 
 def long_petal_flower(rng):

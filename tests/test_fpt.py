@@ -24,7 +24,7 @@ from hitpaths.bench import scaling_instance
 from hitpaths.fpt import (
     PreprocessResult,
     _fill_component,
-    _positions_to_arc,
+    _solve_cycle,
     build_flower_branch,
     component_budgets,
 )
@@ -205,10 +205,13 @@ def test_preprocess_preserves_oracle_verdict():
         assert before == after
 
 
-def test_positions_to_arc_rejects_gapped_positions():
-    assert _positions_to_arc([4, 5, 1], 5).length(5) == 3
-    with pytest.raises(InvariantViolation):
-        _positions_to_arc([1, 3], 5)
+def test_solve_cycle_rejects_a_target_that_is_not_an_arc():
+    c4 = Graph.build(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    inst = make_instance(c4, [], 1)
+    pre = preprocess(inst)
+    for target in [(1, 3), (3, 1), (2, 1, 3)]:
+        with pytest.raises(InvariantViolation):
+            _solve_cycle(inst, pre, c4, [(1, 2), target])
 
 
 def quadratic_preprocess(inst):

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
@@ -18,7 +20,7 @@ from hitpaths import (
 from hitpaths.mvsat import satisfies
 
 from conftest import random_signed_formula
-from reference import enumerate_signed
+from reference import dense_signed_to_classical, enumerate_signed
 
 
 def truth_table_2sat(cnf: BoolCnf):
@@ -64,18 +66,31 @@ def test_solve_2sat_matches_truth_table():
 
 def test_encoding_single_ge_clause():
     f = SignedFormula(1, 3, ((SignedLiteral(1, GE, 2),),))
-    cnf, _ = signed_to_classical(f)
-    # literal clause, two monotone chain clauses, one unit for level 1
-    assert (2,) in cnf.clauses and (1,) in cnf.clauses
-    assert (-2, 1) in cnf.clauses and (-3, 2) in cnf.clauses
-    assert len(cnf.clauses) == 4
+    cnf, decode = signed_to_classical(f)
+    # one boolean, for the one named threshold: no chain and no unit for x_1 >= 1
+    assert cnf == BoolCnf(1, ((1,),))
+    assert decode([False, True]) == (2,)
+    assert decode([False, False]) == (1,)
+    two = SignedFormula(1, 3, ((SignedLiteral(1, GE, 3),), (SignedLiteral(1, LE, 1),)))
+    cnf, decode = signed_to_classical(two)
+    # [x_1 >= 2] is boolean 1 and [x_1 >= 3] boolean 2, linked by one chain clause
+    assert cnf == BoolCnf(2, ((2,), (-1,), (-2, 1)))
+    assert decode([False, True, True]) == (3,)
 
 
 def test_encoding_drops_trivial_le():
-    f = SignedFormula(1, 3, ((SignedLiteral(1, LE, 3),),))
-    cnf, _ = signed_to_classical(f)
-    assert all(len(c) > 0 for c in cnf.clauses)
-    assert len(cnf.clauses) == 3  # chains and unit only
+    f = SignedFormula(
+        2,
+        3,
+        (
+            (SignedLiteral(1, LE, 3),),
+            (SignedLiteral(1, GE, 2), SignedLiteral(2, GE, 1)),
+        ),
+    )
+    cnf, decode = signed_to_classical(f)
+    # both clauses always hold, so nothing names a threshold
+    assert cnf == BoolCnf(0, ())
+    assert decode([False]) == (1, 1)
 
 
 def test_encoding_propagates_empty_clause():
@@ -102,18 +117,65 @@ def test_tors2sat_examples():
     assert solve_tors2sat(empty) == (1, 1, 1)  # decoder floor
 
 
+def named_thresholds(f: SignedFormula) -> list[tuple[int, int]]:
+    """The (variable, threshold) pairs the clauses that can fail name, in
+    the encoder's boolean order: b for x >= b and b + 1 for x <= b."""
+    named = set()
+    for clause in f.clauses:
+        pairs = [(var, b if op == GE else b + 1) for var, op, b in clause]
+        if all(1 < j <= f.num_values for _, j in pairs):
+            named.update(pairs)
+    return sorted(named)
+
+
 def test_decoded_models_are_monotone():
     rng = random.Random(31)
     for _ in range(200):
         f = random_signed_formula(rng, 4, 6, 2)
-        cnf, _ = signed_to_classical(f)
+        cnf, decode = signed_to_classical(f)
         model = solve_2sat(cnf)
         if model is None:
             continue
-        nvals = f.num_values
-        for i in range(1, f.num_vars + 1):
-            for j in range(1, nvals):
-                assert not model[(i - 1) * nvals + j + 1] or model[(i - 1) * nvals + j]
+        named = named_thresholds(f)
+        for b, ((var, _), (nxt_var, _)) in enumerate(zip(named, named[1:]), 1):
+            if var == nxt_var:
+                assert not model[b + 1] or model[b]
+        values = decode(model)
+        for b, (var, j) in enumerate(named, 1):
+            assert model[b] == (values[var - 1] >= j)
+
+
+def test_encoding_matches_dense_reference():
+    rng = random.Random(43)
+    verdicts = Counter()
+    for _ in range(2500):
+        f = random_signed_formula(rng, 5, 8, 2, max_clauses=10)
+        cnf, decode = signed_to_classical(f)
+        assert cnf.num_vars == len(named_thresholds(f))
+        model = solve_2sat(cnf)
+        want = solve_2sat(dense_signed_to_classical(f)[0])
+        assert (model is None) == (want is None)
+        if model is not None:
+            assert satisfies(f, decode(model))
+        verdicts[model is None] += 1
+    assert min(verdicts.values()) > 500, verdicts
+
+
+def test_wide_domain_encoding_is_linear_in_the_formula():
+    f = SignedFormula(
+        3,
+        10**5,
+        (
+            (SignedLiteral(1, GE, 50000), SignedLiteral(2, LE, 10)),
+            (SignedLiteral(2, GE, 11),),
+            (SignedLiteral(3, LE, 7), SignedLiteral(1, LE, 3)),
+        ),
+    )
+    t0 = time.perf_counter()
+    values = solve_tors2sat(f)
+    assert time.perf_counter() - t0 < 0.2
+    assert values is not None and satisfies(f, values)
+    assert signed_to_classical(f)[0].num_vars == 4
 
 
 def test_enumerate_examples():

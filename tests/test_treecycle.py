@@ -3,7 +3,6 @@ import random
 import pytest
 
 from hitpaths import (
-    CycleArc,
     Interval,
     ValidationError,
     hit_paths_in_cycle,
@@ -39,42 +38,44 @@ def test_stab_matches_bruteforce_exhaustive():
         ivs = rng.sample(all_ivs, rng.randint(0, 6))
         size, pts = stab_intervals(length, ivs)
         assert size == brute_stab(length, ivs)
-        assert all(any(covers(iv, p) for p in pts) for iv in ivs)
+        assert all(any(iv.lo <= p <= iv.hi for p in pts) for iv in ivs)
 
 
 def test_cycle_examples():
     assert hit_paths_in_cycle(4, []) == (0, frozenset())
-    size, pts = hit_paths_in_cycle(4, [CycleArc(2, 3)])
+    size, pts = hit_paths_in_cycle(4, [(2, 2)])
     assert size == 1 and pts == frozenset({2})
-    size, pts = hit_paths_in_cycle(4, [CycleArc(1, 2), CycleArc(3, 4)])
+    size, pts = hit_paths_in_cycle(4, [(1, 2), (3, 2)])
     assert size == 2 and len(pts) == 2
+    assert hit_paths_in_cycle(5, [(4, 3), (2, 5)]) == (1, frozenset({4}))
 
 
 def test_cycle_errors():
     with pytest.raises(ValidationError):
         hit_paths_in_cycle(2, [])
-    with pytest.raises(ValidationError):
-        hit_paths_in_cycle(4, [CycleArc(1, 4)])
-    with pytest.raises(ValidationError):
-        hit_paths_in_cycle(4, [CycleArc(2, 1)])
+    for arc in [(0, 1), (5, 1), (1, 0), (1, 5)]:
+        with pytest.raises(ValidationError):
+            hit_paths_in_cycle(4, [arc])
+    # a whole-cycle arc, wrapping or not, is hit by any one vertex
+    for arc in [(1, 4), (2, 4)]:
+        size, pts = hit_paths_in_cycle(4, [arc])
+        assert size == 1 and covers(arc, min(pts), 4)
 
 
 def test_cycle_matches_bruteforce_random():
     rng = random.Random(17)
+    whole = 0
     for _ in range(300):
         length = rng.randint(3, 10)
-        arcs = []
-        for _ in range(rng.randint(1, 5)):
-            lo = rng.randint(1, length)
-            span = rng.randint(0, length - 2)
-            arcs.append(CycleArc(lo, (lo + span - 1) % length + 1))
-        size, pts = hit_paths_in_cycle(length, arcs)
-        assert all(any(covers(a, p) for p in pts) for a in arcs)
-        sets = [
-            {(a.lo + off - 1) % length + 1 for off in range(a.length(length))}
-            for a in arcs
+        arcs = [
+            (rng.randint(1, length), rng.randint(1, length)) for _ in range(rng.randint(1, 5))
         ]
+        whole += any(span == length for _, span in arcs)
+        size, pts = hit_paths_in_cycle(length, arcs)
+        assert all(any(covers(a, p, length) for p in pts) for a in arcs)
+        sets = [{(start + off - 1) % length + 1 for off in range(span)} for start, span in arcs]
         assert size == brute_min_hitting(length, sets)
+    assert whole > 50
 
 
 def sorting_greedy(length, intervals):
@@ -98,9 +99,9 @@ def trying_every_vertex(cycle_length, arcs):
     best = None
     for v in range(1, cycle_length + 1):
         ivs = [
-            Interval((a.lo - v) % cycle_length, (a.hi - v) % cycle_length)
-            for a in arcs
-            if not covers(a, v)
+            Interval((start - v) % cycle_length, (start - v) % cycle_length + span - 1)
+            for start, span in arcs
+            if not covers((start, span), v, cycle_length)
         ]
         size, pts = sorting_greedy(cycle_length - 1, ivs)
         back = frozenset({v} | {(q + v - 1) % cycle_length + 1 for q in pts})
@@ -145,40 +146,38 @@ def test_stab_intervals_matches_sorting_greedy():
 
 
 def random_cycle_arcs(rng, length):
-    """Arcs that wrap, nest, repeat, hold one vertex or all but one."""
+    """(start, size) arcs that wrap, nest, repeat, hold one vertex, all but
+    one, or all of them."""
     arcs = []
     for _ in range(rng.randint(1, 10)):
         shape = rng.random()
         if arcs and shape < 0.15:
             arcs.append(rng.choice(arcs))  # duplicate
         elif arcs and shape < 0.35:
-            outer = rng.choice(arcs)  # nested inside another
-            start = rng.randint(0, outer.length(length) - 1)
-            span = rng.randint(1, outer.length(length) - start)
-            lo = (outer.lo + start - 1) % length + 1
-            arcs.append(CycleArc(lo, (lo + span - 2) % length + 1))
-        elif shape < 0.5:
-            v = rng.randint(1, length)
-            arcs.append(CycleArc(v, v))
-        elif shape < 0.6:
-            lo = rng.randint(1, length)  # every vertex but one
-            arcs.append(CycleArc(lo, (lo + length - 3) % length + 1))
+            outer, outer_size = rng.choice(arcs)  # nested inside another
+            off = rng.randint(0, outer_size - 1)
+            arcs.append(((outer + off - 1) % length + 1, rng.randint(1, outer_size - off)))
+        elif shape < 0.45:
+            arcs.append((rng.randint(1, length), 1))
+        elif shape < 0.55:
+            arcs.append((rng.randint(1, length), length - 1))  # every vertex but one
+        elif shape < 0.65:
+            arcs.append((rng.randint(1, length), length))  # the whole cycle
         else:
-            lo = rng.randint(1, length)
-            span = rng.randint(1, length - 1)
-            arcs.append(CycleArc(lo, (lo + span - 2) % length + 1))
+            arcs.append((rng.randint(1, length), rng.randint(1, length - 1)))
     return arcs
 
 
 def test_cycle_matches_trying_every_vertex():
     rng = random.Random(31)
-    wrapping = 0
+    wrapping = whole = 0
     for _ in range(3000):
         length = rng.randint(3, 16)
         arcs = random_cycle_arcs(rng, length)
-        wrapping += any(a.lo > a.hi for a in arcs)
+        wrapping += any(start + span - 1 > length for start, span in arcs)
+        whole += any(span == length for _, span in arcs)
         size, pts = hit_paths_in_cycle(length, arcs)
         assert size == len(pts) == trying_every_vertex(length, arcs)[0]
         assert all(1 <= p <= length for p in pts)
-        assert all(any(covers(a, p) for p in pts) for a in arcs)
-    assert wrapping > 1000
+        assert all(any(covers(a, p, length) for p in pts) for a in arcs)
+    assert wrapping > 1000 and whole > 1000
