@@ -122,11 +122,11 @@ def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance
 
 
 class CanonicalTable(Sequence):
-    """canonical_table's result, indexed and compared like a list: slot ell
-    holds the canonical solution at index ell or None, slot 0 is unused, and
-    a solution is built only when its slot is read. `first` is the smallest
-    defined index (0 if none) and `maxima` the rightmost positions of the
-    defined solutions in index order."""
+    """canonical_table's result, indexed like a list: slot ell holds the
+    canonical solution at index ell or None, slot 0 is unused, and a solution
+    is built only when its slot is read. `first` is the smallest defined
+    index (0 if none) and `maxima` the rightmost positions of the defined
+    solutions in index order."""
 
     def __init__(self, length: int, budget: int, r: list[int], first: int, maxima: list[int]):
         self.length, self.budget, self.reach = length, budget, r
@@ -151,11 +151,6 @@ class CanonicalTable(Sequence):
                 f"canonical solution {ell} does not run from {ell} to {self.maxima[j]}"
             )
         return frozenset(chosen)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, CanonicalTable)):
-            return NotImplemented
-        return list(self) == list(other)
 
 
 def canonical_table(petal_length: int, internal_paths, budget: int) -> CanonicalTable:

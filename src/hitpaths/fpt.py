@@ -22,7 +22,6 @@ from .graph import (
     Graph,
     PathComponent,
     connect_components,
-    cyclomatic_number,
     high_degree_set,
     path_components,
 )
@@ -36,7 +35,6 @@ class PreprocessResult:
     paths: tuple[tuple[int, ...], ...]  # in residual ids
     forced: frozenset[int]  # original ids forced into every solution
     t_remaining: int  # may be negative
-    k: int  # cyclomatic number, the same for the input and the residual
     new_to_old: dict[int, int]  # residual id -> original id
 
 
@@ -63,7 +61,7 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     over the graph's shared, unmodified adjacency. Each target is trimmed
     by moving its end pointers, and a vertex on no target skips that work,
     so the pass takes O((n + m) log n + sum of target lengths). Peeling
-    keeps m - n + c, so k is read off the residual; two self-checks back
+    keeps m - n + c, so the residual has the input's k; two self-checks back
     this: no peeled vertex has two live neighbours, and the residual keeps
     exactly the unpeeled edges. Input that does not peel is returned as is.
     """
@@ -72,8 +70,7 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     g = inst.graph
     low = [v for v, ns in g.adjacency().items() if len(ns) <= 1]
     if not low:  # nothing peels: the residual is the input
-        ids = {v: v for v in g.vertices()}
-        return PreprocessResult(g, inst.paths, frozenset(), inst.t, cyclomatic_number(g), ids)
+        return PreprocessResult(g, inst.paths, frozenset(), inst.t, {v: v for v in g.vertices()})
     adj = g.adjacency()  # shared: read only
     deg = [0, *map(len, map(adj.__getitem__, g.vertices()))]  # live degree per id, 0 once peeled
     paths = inst.paths
@@ -119,11 +116,10 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
                 else:
                     raise InvariantViolation("preprocessing peeled an inner target vertex")
 
-    # relabelling keeps the order, so u < w stays an ordered pair
     new_to_old = dict(enumerate(filter(deg.__getitem__, g.vertices()), 1))
     old_to_new = {v: i for i, v in new_to_old.items()}
-    edges = {(old_to_new[u], old_to_new[w]) for u in old_to_new for w in adj[u] if u < w and deg[w]}
-    residual = Graph(len(old_to_new), frozenset(edges))
+    nbrs = {i: {old_to_new[w] for w in adj[v] if deg[w]} for i, v in new_to_old.items()}
+    residual = Graph(len(nbrs), sum(map(len, nbrs.values())) // 2, nbrs)
     if g.m - residual.m != removed:
         raise InvariantViolation("the residual does not keep exactly the unpeeled edges")
     new_paths = tuple(
@@ -131,8 +127,7 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     )
     if not all(new_paths):
         raise InvariantViolation("preprocessing emptied a target")
-    k = cyclomatic_number(residual)  # the same as the input's
-    return PreprocessResult(residual, new_paths, frozenset(forced), t, k, new_to_old)
+    return PreprocessResult(residual, new_paths, frozenset(forced), t, new_to_old)
 
 
 @dataclass(frozen=True)
@@ -143,15 +138,15 @@ class ComponentData:
     covered_by: frozenset[int]  # indices of the targets holding all its vertices
 
 
-def component_budgets(g: Graph, s, paths) -> list[ComponentData]:
-    """Per component of g - s: its internal targets and their piercing optimum.
+def component_budgets(comps: list[PathComponent], s, paths) -> list[ComponentData]:
+    """Per component of path_components' walk: its internal targets and
+    their piercing optimum.
 
     Budget candidates for the branching step are {opt, opt + 1}. The one
     walk over the targets also records which targets cover each component
     whole, for build_flower_branch, which must be given the same `paths`.
     """
     s = set(s)
-    comps = path_components(g, s)
     comp_of = {}  # vertex -> component index
     where = {}  # vertex -> 1-based position in its component
     for ci, comp in enumerate(comps):
@@ -271,22 +266,31 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
     if stats is None:
         stats = SolveStats()
     pre = preprocess(inst)
-    stats.k = pre.k
+    g = pre.graph
+    s = high_degree_set(g)
+    walk = path_components(g, set(s))
+    # k = m - n + c: c counts the walk's cycles and the components of the
+    # skeleton on S, whose edges are those inside S and one per path
+    index = {v: i for i, v in enumerate(s, 1)}
+    ends = [(u, w) for u in s for w in g.neighbours[u] if w in index]
+    ends += [(p.attach_left, p.attach_right) for p in walk if p.attach_left is not None]
+    skeleton = Graph.build(len(s), {(index[min(e)], index[max(e)]) for e in ends if e[0] != e[1]})
+    c = len(skeleton.components()) + sum(p.attach_left is None for p in walk)
+    stats.k = k = g.m - g.n + c
     if pre.t_remaining < 0:
         return Solution("NO")
-    if pre.graph.n == 0:
+    if g.n == 0:
         return _finish(inst, set(pre.forced))
-
-    g = pre.graph
-    if pre.k - g.m + g.n > 1:  # more than one component
+    if c > 1:
         g = connect_components(g)
+        s = high_degree_set(g)
+        walk = path_components(g, set(s))
     paths = pre.paths
 
-    if g.m == g.n:  # connected with minimum degree 2: a simple cycle
-        return _solve_cycle(inst, pre, g, paths)
+    if not s:  # connected with minimum degree 2: a simple cycle
+        return _solve_cycle(inst, pre, walk[0].vertices, paths)
 
-    s = high_degree_set(g)
-    comps = component_budgets(g, s, paths)
+    comps = component_budgets(walk, s, paths)
     stats.high_degree = len(s)
     stats.components = len(comps)
 
@@ -334,9 +338,9 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
             stats.solution_cost = cost
             chosen = set(pre.forced) | {pre.new_to_old[v] for v in chosen_new}
             sol = _finish(inst, chosen)
-            _check_branch_bound(stats, pre.k)
+            _check_branch_bound(stats, k)
             return sol
-    _check_branch_bound(stats, pre.k)
+    _check_branch_bound(stats, k)
     return Solution("NO")
 
 
@@ -345,15 +349,14 @@ def _check_branch_bound(stats: SolveStats, k: int) -> None:
         raise InvariantViolation("branch count exceeds the 2^(5k) bound")
 
 
-def _solve_cycle(inst, pre: PreprocessResult, g: Graph, paths) -> Solution:
+def _solve_cycle(inst, pre: PreprocessResult, order: tuple[int, ...], paths) -> Solution:
     """Residual graph is a single cycle: solve its arcs exactly.
 
-    The cycle is laid out from vertex 1 towards its smaller neighbour. A
-    target runs along that layout either forwards from its first vertex or
+    The walk lays it out as `order`, from vertex 1 to its smaller neighbour.
+    A target runs along that layout either forwards from its first vertex or
     backwards from its last, so its arc starts at one of its ends; its
     stretch of the layout, unrolled twice, must equal it either way round.
     """
-    order = (1, *path_components(g, {1})[0].vertices)
     pos = {v: q for q, v in enumerate(order, 1)}
     twice = order + order
     arcs = []
@@ -365,7 +368,7 @@ def _solve_cycle(inst, pre: PreprocessResult, g: Graph, paths) -> Solution:
         if run != p and run[::-1] != p:
             raise InvariantViolation(f"target {p} is not an arc of the cycle")
         arcs.append((start, len(p)))
-    size, pts = hit_paths_in_cycle(g.n, arcs)
+    size, pts = hit_paths_in_cycle(len(order), arcs)
     if size > pre.t_remaining:
         return Solution("NO")
     chosen = set(pre.forced) | {pre.new_to_old[order[q - 1]] for q in pts}

@@ -1,14 +1,14 @@
-"""Simple undirected graphs over dense 1-based vertex ids.
+"""Simple undirected graphs over dense 1-based vertex ids, as neighbour sets.
 
 Provides the structural measures and rewriting operations the solvers rely
 on: cyclomatic number, the set of high-degree vertices, the decomposition of
-a graph minus its high-degree vertices into path components, and
+a graph minus its high-degree vertices into path and cycle components, and
 deterministic bridging of disconnected inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotAPath, ValidationError
@@ -16,18 +16,19 @@ from .errors import NotAPath, ValidationError
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 1..n with normalized edge pairs."""
+    """Simple undirected graph on vertices 1..n with m edges; build validates."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    m: int
+    neighbours: dict[int, set[int]] = field(hash=False)
 
     @staticmethod
     def build(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Validate the edges in the one pass that fills the kept adjacency."""
+        """Validate the edges in the one pass that fills the neighbour sets."""
         if n < 0:
             raise ValidationError(f"negative vertex count {n}")
         adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
-        normalized = set()
+        m = 0
         for u, v in edges:
             if u == v:
                 raise ValidationError(f"self-loop at vertex {u}")
@@ -37,39 +38,29 @@ class Graph:
                 raise ValidationError(f"duplicate edge {(u, v) if u < v else (v, u)}")
             adj[u].add(v)
             adj[v].add(u)
-            normalized.add((u, v) if u < v else (v, u))
-        g = Graph(n, frozenset(normalized))
-        object.__setattr__(g, "_adjacency", adj)
-        return g
+            m += 1
+        return Graph(n, m, adj)
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The (u, w) pairs with u < w, derived from the neighbour sets."""
+        return frozenset((u, w) for u, ns in self.neighbours.items() for w in ns if u < w)
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
     def adjacency(self) -> dict[int, set[int]]:
-        """Neighbour sets, filled by Graph.build (else built here on first use)
-        and shared by every caller, so no caller may mutate them."""
-        adj = self.__dict__.get("_adjacency")
-        if adj is None:
-            adj = {v: set() for v in self.vertices()}
-            for u, v in self.edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            object.__setattr__(self, "_adjacency", adj)
-        return adj
+        """The neighbour sets, shared by every caller: none may mutate them."""
+        return self.neighbours
 
     def components(self, vs: Optional[Iterable[int]] = None) -> list[list[int]]:
         """Connected components of the subgraph induced by vs (default: all
-        vertices) as sorted vertex lists, ordered by smallest id. Without vs
-        the walk follows every edge, with no membership test."""
+        vertices) as sorted vertex lists, ordered by smallest id."""
         adj = self.adjacency()
-        inside = None if vs is None else set(vs)
+        inside = set(self.vertices() if vs is None else vs)
         seen: set[int] = set()
         comps = []
-        for start in self.vertices() if inside is None else sorted(inside):
+        for start in sorted(inside):
             if start in seen:
                 continue
             stack = [start]
@@ -78,7 +69,7 @@ class Graph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in adj[v] if inside is None else adj[v] & inside:
+                for w in adj[v] & inside:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)
@@ -88,11 +79,12 @@ class Graph:
 
 @dataclass(frozen=True)
 class PathComponent:
-    """A path-shaped component of G - S, laid out left to right.
+    """A path-shaped component of G - S, laid out left to right, or a
+    cycle of G that S misses.
 
     attach_left / attach_right are the S-vertices adjacent to the first and
     last vertex; they are None when the corresponding endpoint has no
-    neighbor in S (only possible for graphs of minimum degree below two).
+    neighbor in S (always for a cycle, else only in minimum degree < 2).
     """
 
     vertices: tuple[int, ...]
@@ -123,17 +115,20 @@ def high_degree_set(g: Graph) -> list[int]:
 
 
 def path_components(g: Graph, s: set[int]) -> list[PathComponent]:
-    """Components of g - s, each required to be an induced path.
+    """Components of g - s, each required to be an induced path or a cycle
+    of g with no neighbour in s.
 
-    Orientation: the endpoint with the smaller id comes first. Components are
-    ordered by their smallest contained id. Raises NotAPath when a component
-    is not an induced path, which signals a precondition violation by the
-    caller (s must contain every vertex of degree != 2).
+    Orientation: the endpoint with the smaller id comes first; a cycle runs
+    from its smallest vertex towards that vertex's smaller neighbour.
+    Components are ordered by their smallest contained id. Raises NotAPath
+    otherwise, which signals a precondition violation by the caller (s must
+    contain every vertex of degree != 2).
 
     Each component is walked once, from its smallest vertex outwards along
-    neighbours outside s; a branching vertex or a return to a visited vertex
-    (a cycle) stops the walk. A vertex of degree two steps to the neighbour
-    it was not entered from, without filtering its neighbour set.
+    neighbours outside s, the smaller one first; a branching vertex or a
+    return to a visited vertex other than the start (which closes a cycle)
+    stops the walk. A vertex of degree two steps to the neighbour it was not
+    entered from, without filtering its neighbour set.
     """
     adj = g.adjacency()
     seen: set[int] = set()
@@ -142,7 +137,7 @@ def path_components(g: Graph, s: set[int]) -> list[PathComponent]:
         if v in s or v in seen:
             continue
         seen.add(v)
-        ends = [w for w in adj[v] if w not in s]
+        ends = sorted(w for w in adj[v] if w not in s)
         if len(ends) > 2:
             raise NotAPath(f"component containing {v} is not an induced path")
         halves: list[list[int]] = [[], []]
@@ -157,10 +152,15 @@ def path_components(g: Graph, s: set[int]) -> list[PathComponent]:
                 else:
                     ahead = [x for x in ns if x not in s and x != prev]
                 if w in seen or len(ahead) > 1:
-                    raise NotAPath(f"component containing {v} is not an induced path")
+                    # back at v: a cycle of g - s, which must not touch s
+                    if w != v or any(len(adj[x]) != 2 for x in (v, *half)):
+                        raise NotAPath(f"component containing {v} is not an induced path")
+                    break
                 seen.add(w)
                 half.append(w)
                 prev, w = w, (ahead[0] if ahead else None)
+            if w == v:  # the first half went round: no second half
+                break
         order = halves[1][::-1] + [v] + halves[0]
         if order[-1] < order[0]:
             order.reverse()
@@ -182,5 +182,4 @@ def connect_components(g: Graph) -> Graph:
     if len(comps) <= 1:
         return g
     base = comps[0][0]
-    extra = {(min(base, c[0]), max(base, c[0])) for c in comps[1:]}
-    return Graph(g.n, g.edges | extra)
+    return Graph.build(g.n, [*g.edges, *((base, c[0]) for c in comps[1:])])

@@ -5,8 +5,17 @@ from __future__ import annotations
 import itertools
 import random
 
-from hitpaths import FlowerInstance, Graph, SignedFormula, SignedLiteral, make_flower
+from hitpaths import (
+    FlowerInstance,
+    Graph,
+    HitPathsInstance,
+    SignedFormula,
+    SignedLiteral,
+    make_flower,
+    make_instance,
+)
 from hitpaths.mvsat import GE, LE
+from hitpaths.reductions import GeneratorConfig, gen_random_instance
 
 
 def brute_min_hitting(n: int, sets) -> int | None:
@@ -93,3 +102,34 @@ def random_flower(rng: random.Random, max_petals: int = 5, max_len: int = 7, max
         else:
             paths.append((core,))
     return make_flower(core, petals, budgets, paths)
+
+
+def disconnected_instance(rng: random.Random) -> HitPathsInstance:
+    """2-4 vertex-disjoint parts under one random relabelling: bare cycles of
+    3-8 vertices with 0-3 arc targets, and gen_random_instance parts of k
+    0-2 with their own targets. The budget is at most the target count."""
+    edges, targets, n = [], [], 0
+    for _ in range(rng.randint(2, 4)):
+        if rng.random() < 0.5:
+            size = rng.randint(3, 8)
+            ring = [n + i for i in range(1, size + 1)]
+            edges += [(ring[i - 1], ring[i]) for i in range(size)]
+            for _ in range(rng.randint(0, 3)):
+                start, length = rng.randrange(size), rng.randint(1, size)
+                targets.append(tuple(ring[(start + j) % size] for j in range(length)))
+        else:
+            k = rng.randint(0, 2)
+            part = gen_random_instance(GeneratorConfig(
+                seed=rng.randrange(10**9), k=k, n=rng.randint(k + 3, 10),
+                num_paths=rng.randint(0, 4), max_path_len=rng.randint(1, 5),
+            ))
+            size = part.graph.n
+            edges += [(u + n, w + n) for u, w in part.graph.edges]
+            targets += [tuple(v + n for v in p) for p in part.paths]
+        n += size
+    label = list(range(1, n + 1))
+    rng.shuffle(label)
+    edges = [(label[u - 1], label[w - 1]) for u, w in edges]
+    targets = [tuple(label[v - 1] for v in p) for p in targets]
+    rng.shuffle(targets)
+    return make_instance(Graph.build(n, edges), targets, rng.randint(0, min(n, len(targets))))

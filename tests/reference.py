@@ -160,7 +160,8 @@ def content_lines_list(text: str) -> list[list[str]]:
 
 
 def graph_build_two_pass(n: int, edges) -> Graph:
-    """Graph.build validating into a set of pairs, with no adjacency map."""
+    """Graph.build validating into a set of pairs, then filling the
+    neighbour sets from it."""
     if n < 0:
         raise ValidationError(f"negative vertex count {n}")
     normalized = set()
@@ -173,7 +174,11 @@ def graph_build_two_pass(n: int, edges) -> Graph:
         if e in normalized:
             raise ValidationError(f"duplicate edge {e}")
         normalized.add(e)
-    return Graph(n, frozenset(normalized))
+    adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for u, v in normalized:
+        adj[u].add(v)
+        adj[v].add(u)
+    return Graph(n, len(normalized), adj)
 
 
 def parse_instance_two_pass(text: str) -> HitPathsInstance:

@@ -178,7 +178,7 @@ def test_canonical_table_matches_rescanning_reference():
                 rescanning_canonical_solution(length, given, budget, ell)
                 for ell in range(1, length + 1)
             ]
-            assert canonical_table(length, given, budget) == expected
+            assert list(canonical_table(length, given, budget)) == expected
 
 
 def test_canonical_table_matches_eager_reference():
@@ -193,7 +193,7 @@ def test_canonical_table_matches_eager_reference():
         for given in (ivs, distinct):
             slots, first, maxima = eager_canonical_table(length, given, budget)
             table = canonical_table(length, given, budget)
-            assert table == slots and len(table) == length + 1
+            assert list(table) == slots and len(table) == length + 1
             assert (table.first, table.maxima) == (first, maxima)
             assert all(m == max(table[first + j]) for j, m in enumerate(table.maxima))
 

@@ -29,11 +29,12 @@ from hitpaths.fpt import (
     component_budgets,
 )
 from hitpaths.flower import FlowerInstance, make_flower, solve_flower
-from hitpaths.graph import high_degree_set
+from hitpaths.graph import high_degree_set, path_components
 from hitpaths.instance_io import KIND_SUBGRAPHS, unhit_targets
-from hitpaths.oracle import SetSystem, exact_min_hitting_set
+from hitpaths.oracle import SetSystem, exact_min_hitting_set, reference_verdict
 from hitpaths.reductions import GeneratorConfig, gen_random_instance
 
+from conftest import disconnected_instance
 from reference import classifying_component_budgets
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -96,14 +97,14 @@ def test_preprocess_shaves_target_tails():
 def test_component_budgets_on_c4_chord():
     s = high_degree_set(C4_CHORD)
     assert s == [1, 3]
-    comps = component_budgets(C4_CHORD, s, [(2,)])
+    comps = component_budgets(path_components(C4_CHORD, set(s)), s, [(2,)])
     assert [cd.component.vertices for cd in comps] == [(2,), (4,)]
     assert [cd.opt for cd in comps] == [1, 0]
 
 
 def test_build_flower_branch_shapes():
     s = [1, 3]
-    comps = component_budgets(C4_CHORD, s, [(2,), (4,)])
+    comps = component_budgets(path_components(C4_CHORD, set(s)), s, [(2,), (4,)])
     flower = build_flower_branch(s, comps, [1, 1], set(), [(2,), (4,)], 5)
     assert isinstance(flower, FlowerInstance)
     assert flower.core == 5 and flower.petals == ((2,), (4,))
@@ -211,7 +212,7 @@ def test_solve_cycle_rejects_a_target_that_is_not_an_arc():
     pre = preprocess(inst)
     for target in [(1, 3), (3, 1), (2, 1, 3)]:
         with pytest.raises(InvariantViolation):
-            _solve_cycle(inst, pre, c4, [(1, 2), target])
+            _solve_cycle(inst, pre, (1, 2, 3, 4), [(1, 2), target])
 
 
 def quadratic_preprocess(inst):
@@ -248,8 +249,7 @@ def quadratic_preprocess(inst):
     }
     new_paths = tuple(tuple(old_to_new[v] for v in p) for p in paths)
     return PreprocessResult(
-        Graph(len(alive), frozenset(edges)), new_paths, frozenset(forced), t,
-        cyclomatic_number(g), new_to_old,
+        Graph.build(len(alive), edges), new_paths, frozenset(forced), t, new_to_old
     )
 
 
@@ -299,35 +299,54 @@ def random_peel_instance(rng):
 def test_preprocess_matches_quadratic_reference():
     rng = random.Random(71)
     forced_by_trimming = 0
-    trees_beside_a_cycle = 0
     for _ in range(1200):
         inst = random_peel_instance(rng)
         got = preprocess(inst)
         assert got == quadratic_preprocess(inst)
         singletons = {p[0] for p in inst.paths if len(p) == 1}
         forced_by_trimming += bool(got.forced - singletons)
+    # the peel order decides which vertex a trimmed target forces
+    assert forced_by_trimming > 300
+
+
+def test_k_and_verdict_come_off_the_walk():
+    # solve takes k from its one walk of the residual minus S (cycles plus
+    # skeleton components); the input's own m - n + c must agree, and so
+    # must the oracle's verdict
+    rng = random.Random(71)
+    insts = [random_peel_instance(rng) for _ in range(1200)]
+    trees_beside_a_cycle = 0
+    for inst in insts:
         adj = inst.graph.adjacency()
         # a component is a tree iff it has one vertex more than edges
         cyclic = [sum(len(adj[v]) for v in c) // 2 >= len(c) for c in inst.graph.components()]
         trees_beside_a_cycle += any(cyclic) and cyclic.count(False) >= 2
-    # the peel order decides which vertex a trimmed target forces
-    assert forced_by_trimming > 300
-    # the reference takes k from the input: peeled-away trees must not count
+    # peeled-away trees must not count towards k
     assert trees_beside_a_cycle > 20
+    rng = random.Random(109)
+    insts += [disconnected_instance(rng) for _ in range(300)]
+    with_cycle = 0
+    for inst in insts:
+        stats = SolveStats()
+        assert solve(inst, stats).verdict == reference_verdict(inst).verdict
+        assert stats.k == cyclomatic_number(inst.graph)
+        residual = preprocess(inst).graph
+        walk = path_components(residual, set(high_degree_set(residual)))
+        with_cycle += any(comp.attach_left is None for comp in walk)
+    assert with_cycle > 400, with_cycle
 
 
 def with_adjacency(n, edges, extra=(), missing=()):
-    """A graph whose stored adjacency has the `extra` edges on top of
-    `edges` and lacks the one-sided `missing` entries (v loses neighbour w)."""
-    g = Graph(n, frozenset(edges))
-    adj = {v: set() for v in g.vertices()}
+    """A graph of len(edges) edges whose neighbour sets have the `extra`
+    edges on top of `edges` and lack the one-sided `missing` entries (v
+    loses neighbour w)."""
+    adj = {v: set() for v in range(1, n + 1)}
     for u, v in [*edges, *extra]:
         adj[u].add(v)
         adj[v].add(u)
     for v, w in missing:
         adj[v].discard(w)
-    object.__setattr__(g, "_adjacency", adj)
-    return make_instance(g, [], 0)
+    return make_instance(Graph(n, len(edges), adj), [], 0)
 
 
 def test_preprocess_checks_the_residual_edge_count():
@@ -435,12 +454,9 @@ def test_solve_leaves_adjacency_untouched():
     for inst in insts:
         g = inst.graph
         assert g.adjacency() is g.adjacency()
+        before = {v: set(ns) for v, ns in g.adjacency().items()}
         solve(inst)
-        rebuilt = {v: set() for v in g.vertices()}
-        for u, v in g.edges:
-            rebuilt[u].add(v)
-            rebuilt[v].add(u)
-        assert g.adjacency() == rebuilt
+        assert g.adjacency() == before
 
 
 def min_degree_two_instances(rng, count):
@@ -465,37 +481,34 @@ def test_preprocess_returns_min_degree_two_input_as_is():
 
 
 def test_connected_input_runs_one_component_search(monkeypatch):
-    calls = []
+    sizes = []  # vertex count of each searched graph
     search = Graph.components
 
     def counted(self, vs=None):
-        calls.append(vs)
+        sizes.append(self.n)
         return search(self, vs)
 
     monkeypatch.setattr(Graph, "components", counted)
     rng = random.Random(89)
-    checked = 0
-    for inst in min_degree_two_instances(rng, 200):
-        connected = len(search(inst.graph)) == 1
-        calls.clear()
+    insts = min_degree_two_instances(rng, 200)
+    insts += [random_peel_instance(rng) for _ in range(600)]
+    insts += [disconnected_instance(rng) for _ in range(100)]
+    seen = Counter()
+    for inst in insts:
+        pre = preprocess(inst)
+        residual = pre.graph
+        skeleton = len(high_degree_set(residual))
+        sizes.clear()
         solve(inst)
-        # a disconnected input is bridged, which takes a second search
-        assert len(calls) == (1 if connected else 2)
-        checked += connected
-    assert checked > 100
-    # an input that peels is searched only as its residual, which peeling
-    # leaves connected when the input is
-    peeled = 0
-    for _ in range(600):
-        inst = random_peel_instance(rng)
-        g = inst.graph
-        if len(search(g)) != 1 or all(len(ns) > 1 for ns in g.adjacency().values()):
-            continue
-        calls.clear()
-        solve(inst)
-        assert calls == [None]
-        peeled += 1
-    assert peeled > 200
+        # a NO from the budget alone comes before the bridge
+        if len(search(residual)) <= 1 or pre.t_remaining < 0:  # only the skeleton on S
+            assert sizes == [skeleton]
+            peeled = residual is not inst.graph
+            seen["peeled" if peeled else "as is"] += len(search(inst.graph)) == 1
+        else:  # and the residual once, to bridge it
+            assert sorted(sizes) == [skeleton, residual.n]
+            seen["bridged"] += 1
+    assert seen["as is"] > 150 and seen["peeled"] > 250 and seen["bridged"] > 50, seen
 
 
 def rebuilding_flower_branch(s, comps, budgets, s_prime, paths, core_id):
@@ -584,7 +597,7 @@ def test_flower_branch_matches_rebuilding_reference():
         if len(s) > 1 and inner and rng.random() < 0.3:
             a, b = rng.sample(s, 2)
             paths.insert(rng.randint(0, len(paths)), (a, rng.choice(inner), b))
-        comps = component_budgets(g, s, paths)
+        comps = component_budgets(path_components(g, set(s)), s, paths)
         core_id = g.n + 1
         for s_mask in range((1 << len(s)) - 1):  # S' must leave a core
             s_prime = {v for i, v in enumerate(s) if s_mask >> i & 1}
@@ -663,7 +676,7 @@ def random_walk_targets(rng, g, count):
 
 
 def assert_same_budgets(g, s, paths):
-    got = component_budgets(g, s, paths)
+    got = component_budgets(path_components(g, set(s)), s, paths)
     want = classifying_component_budgets(g, s, paths)
     assert [(cd.component, cd.opt, cd.greedy, cd.covered_by) for cd in got] == [
         (cd.component, cd.opt, cd.greedy, cd.covered_by) for cd in want
@@ -721,7 +734,7 @@ def scanning_solve(inst):
     pre = preprocess(inst)
     g = connect_components(pre.graph)
     s = high_degree_set(g)
-    comps = component_budgets(g, s, pre.paths)
+    comps = component_budgets(path_components(g, set(s)), s, pre.paths)
     total_opt = sum(cd.opt for cd in comps)
     nc = len(comps)
     must_opt_mask = 0

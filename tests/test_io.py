@@ -289,8 +289,8 @@ def test_graph_build_stores_the_adjacency_of_its_edges():
     for seed in range(200):
         rng = random.Random(seed)
         g = random_graph(rng, rng.randint(0, 10), rng.random())
-        assert "_adjacency" in g.__dict__  # stored by build, not rebuilt on first use
-        assert g.adjacency() == _adjacency_from_edges(g) == Graph(g.n, g.edges).adjacency()
+        assert g.adjacency() is g.neighbours  # stored by build, not rebuilt per call
+        assert g.adjacency() == _adjacency_from_edges(g) and g.m == len(g.edges)
         edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
         if edges and rng.random() < 0.5:
             edges.insert(rng.randint(0, len(edges)), rng.choice(edges)[::-1])
