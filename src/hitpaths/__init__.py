@@ -1,6 +1,11 @@
 """Exact solvers for hitting prescribed simple paths in graphs of small
-cyclomatic number, with flower-graph and signed 2-SAT machinery, a reference
-oracle, hardness-construction generators, and a CLI."""
+cyclomatic number, with flower-graph and signed 2-SAT machinery and a CLI.
+
+Importing the package loads only the modules a solve runs. The reference
+oracle and the hardness-construction generators, which no solve calls, are
+imported from their own modules: `hitpaths.oracle` (SetSystem,
+exact_min_hitting_set) and `hitpaths.reductions` (GeneratorConfig,
+gen_random_instance and the constructions)."""
 
 from .errors import (
     CapExceeded,
@@ -52,14 +57,6 @@ from .mvsat import (
     signed_to_classical,
     solve_2sat,
     solve_tors2sat,
-)
-from .oracle import SetSystem, exact_min_hitting_set
-from .reductions import (
-    GeneratorConfig,
-    clique_to_signed3sat,
-    gen_random_instance,
-    signed3sat_to_fvs2_instance,
-    signed3sat_to_subtree_instance,
 )
 from .treecycle import (
     Interval,

@@ -2,7 +2,9 @@
 
 Verbs: solve, oracle, gen, reduce, verify, bench. Solution lines go to
 stdout; diagnostics and statistics go to stderr. Exit codes: 0 for YES or
-success, 1 for NO, 2 for any error.
+success, 1 for NO, 2 for any error. The oracle, the generators and the
+benchmark harnesses are imported by the verbs that use them, so `solve`
+and a YES `verify` load only what a solve runs.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import run_agreement, run_scaling
 from .errors import HitPathsError, ParseError
 from .fpt import SolveStats, solve
 from .instance_io import (
@@ -21,14 +22,6 @@ from .instance_io import (
     write_instance,
     write_signed_formula,
     write_solution,
-)
-from .oracle import reference_verdict
-from .reductions import (
-    GeneratorConfig,
-    clique_to_signed3sat,
-    gen_random_instance,
-    signed3sat_to_fvs2_instance,
-    signed3sat_to_subtree_instance,
 )
 
 EXIT_YES = 0
@@ -115,6 +108,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import reference_verdict
+
     inst = parse_instance(_read(args.instance))
     sol = reference_verdict(inst)
     sys.stdout.write(write_solution(sol))
@@ -122,6 +117,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .reductions import GeneratorConfig, gen_random_instance
+
     cfg = GeneratorConfig(
         seed=args.seed,
         k=args.k,
@@ -136,16 +133,18 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from . import reductions
+
     if args.construction == "clique3sat":
         inst = parse_instance(_read(args.infile))
-        formula = clique_to_signed3sat(inst.graph, args.clique_k)
+        formula = reductions.clique_to_signed3sat(inst.graph, args.clique_k)
         _emit(write_signed_formula(formula), args.outfile)
         return EXIT_YES
     formula = parse_signed_formula(_read(args.infile))
     if args.construction == "sat3tree":
-        out = signed3sat_to_subtree_instance(formula)
+        out = reductions.signed3sat_to_subtree_instance(formula)
     else:
-        out = signed3sat_to_fvs2_instance(formula)
+        out = reductions.signed3sat_to_fvs2_instance(formula)
     _emit(write_instance(out), args.outfile)
     return EXIT_YES
 
@@ -155,6 +154,8 @@ def _cmd_verify(args) -> int:
     claim = parse_solution(_read(args.solution))
     if claim.verdict == "NO":
         # a NO claim is checked against the exact reference
+        from .oracle import reference_verdict
+
         if reference_verdict(inst).verdict == "NO":
             print("verified: NO claim confirmed by the reference solver", file=sys.stderr)
             return EXIT_YES
@@ -179,6 +180,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from .bench import run_agreement, run_scaling
+
     if args.suite == "agreement":
         rep = run_agreement(args.count, base_seed=args.seed)
         print("suite      instances  agreements  mismatches  median_s  max_branches")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import FlowerShapeViolation, InvariantViolation, ValidationError
 from .flower import FlowerInstance, make_flower, solve_flower
@@ -29,8 +29,7 @@ from .instance_io import KIND_PATHS, HitPathsInstance, Solution, certificate_for
 from .treecycle import hit_paths_in_cycle, stab_intervals
 
 
-@dataclass(frozen=True)
-class PreprocessResult:
+class PreprocessResult(NamedTuple):
     graph: Graph  # relabeled residual graph, min degree >= 2 (or empty)
     paths: tuple[tuple[int, ...], ...]  # in residual ids
     forced: frozenset[int]  # original ids forced into every solution
@@ -130,8 +129,7 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     return PreprocessResult(residual, new_paths, frozenset(forced), t, new_to_old)
 
 
-@dataclass(frozen=True)
-class ComponentData:
+class ComponentData(NamedTuple):
     component: PathComponent
     opt: int
     greedy: frozenset[int]  # positions of an optimum piercing of its targets
@@ -208,16 +206,18 @@ def build_flower_branch(
     petal_budgets = []
     links = set()
     for cd, budget in zip(comps, budgets):
+        comp = cd.component
+        vertices = comp.vertices
         if budget == 0:
-            dead.update(cd.component.vertices)
+            dead.update(vertices)
             continue
         covered |= cd.covered_by
-        petals.append(cd.component.vertices)
+        petals.append(vertices)
         petal_budgets.append(budget)
-        if cd.component.attach_left in core_set:
-            links.add(cd.component.vertices[0])
-        if cd.component.attach_right in core_set:
-            links.add(cd.component.vertices[-1])
+        if comp.attach_left in core_set:
+            links.add(vertices[0])
+        if comp.attach_right in core_set:
+            links.add(vertices[-1])
 
     flower_paths = []
     for i, p in enumerate(paths):
@@ -294,7 +294,8 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
     stats.high_degree = len(s)
     stats.components = len(comps)
 
-    total_opt = sum(cd.opt for cd in comps)
+    opts = [cd.opt for cd in comps]
+    total_opt = sum(opts)
     nc = len(comps)
     # components where opt + 1 would not fit must always get the optimum
     must_opt_mask = 0
@@ -306,21 +307,17 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
     for s_mask in range(1 << len(s)):
         s_prime = {s[i] for i in range(len(s)) if s_mask >> i & 1}
         base_cost = len(s_prime) + total_opt + nc
-        # every mask below the first with `need` opt bits fails the cost filter
-        need = min(max(base_cost - pre.t_remaining, 0), nc)
-        first = (1 << need) - 1
-        stats.branches_enumerated += first
-        for c_mask in range(first, 1 << nc):
-            stats.branches_enumerated += 1
+        # the scan visits, in increasing order, only the masks both filters
+        # admit: supersets of must_opt_mask with enough opt bits to fit the
+        # budget; the masks it skips are counted as enumerated all the same
+        c_mask = must_opt_mask
+        while not c_mask >> nc:
             cost = base_cost - c_mask.bit_count()
             if cost > pre.t_remaining:
-                continue
-            if c_mask & must_opt_mask != must_opt_mask:
+                c_mask |= c_mask + 1  # the next mask with one more opt bit
                 continue
             stats.branches_after_filter += 1
-            budgets = [
-                cd.opt if c_mask >> ci & 1 else cd.opt + 1 for ci, cd in enumerate(comps)
-            ]
+            budgets = [opt if c_mask >> ci & 1 else opt + 1 for ci, opt in enumerate(opts)]
             if len(s_prime) == len(s):
                 # no core: every target S misses lies inside one
                 # positive-budget component, which its greedy fill hits
@@ -333,13 +330,16 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
                 stats.flower_calls += 1
                 fsol = solve_flower(branch)
                 if fsol.verdict != "YES":
+                    c_mask = (c_mask + 1) | must_opt_mask  # the next superset
                     continue
                 chosen_new = set(s_prime) | set(fsol.chosen)
+            stats.branches_enumerated += c_mask + 1
             stats.solution_cost = cost
             chosen = set(pre.forced) | {pre.new_to_old[v] for v in chosen_new}
             sol = _finish(inst, chosen)
             _check_branch_bound(stats, k)
             return sol
+        stats.branches_enumerated += 1 << nc
     _check_branch_bound(stats, k)
     return Solution("NO")
 

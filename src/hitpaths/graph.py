@@ -9,9 +9,9 @@ deterministic bridging of disconnected inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .errors import NotAPath, ValidationError
+from .errors import InvariantViolation, NotAPath, ValidationError
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ class Graph:
         return comps
 
 
-@dataclass(frozen=True)
-class PathComponent:
+class PathComponent(NamedTuple):
     """A path-shaped component of G - S, laid out left to right, or a
     cycle of G that S misses.
 
@@ -176,10 +175,17 @@ def connect_components(g: Graph) -> Graph:
     """Bridge all components into one, preserving the cyclomatic number.
 
     Each later component's lowest-id vertex is joined to the lowest-id vertex
-    of the first component.
+    of the first component. The bridged graph copies g's validated neighbour
+    sets and adds the bridges to them.
     """
     comps = g.components()
     if len(comps) <= 1:
         return g
     base = comps[0][0]
-    return Graph.build(g.n, [*g.edges, *((base, c[0]) for c in comps[1:])])
+    adj = {v: set(ns) for v, ns in g.neighbours.items()}
+    for c in comps[1:]:
+        if c[0] in adj[base] or base in adj[c[0]]:
+            raise InvariantViolation(f"bridge ({base},{c[0]}) joins adjacent vertices")
+        adj[base].add(c[0])
+        adj[c[0]].add(base)
+    return Graph(g.n, g.m + len(comps) - 1, adj)

@@ -21,8 +21,8 @@ Solution file: "s <size> <v1> ... <vk>" for YES, "s -1" for NO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import ParseError, ValidationError
 from .graph import Graph, path_in
@@ -40,10 +40,9 @@ class HitPathsInstance:
     kind: str = KIND_PATHS
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(NamedTuple):
     verdict: str  # "YES" or "NO"
-    chosen: frozenset[int] = field(default_factory=frozenset)
+    chosen: frozenset[int] = frozenset()
     certificate: Optional[tuple[int, ...]] = None  # hitting vertex per path
 
 
@@ -81,13 +80,10 @@ def unhit_targets(inst: HitPathsInstance, chosen) -> list[int]:
 def certificate_for(paths, chosen) -> Optional[tuple[int, ...]]:
     """For each target, the smallest chosen vertex on it; None if one is missed."""
     cs = set(chosen)
-    cert = []
-    for p in paths:
-        v = min(filter(cs.__contains__, p), default=None)
-        if v is None:
-            return None
-        cert.append(v)
-    return tuple(cert)
+    try:
+        return tuple(map(min, map(cs.intersection, paths)))
+    except ValueError:  # min of an empty intersection: a missed target
+        return None
 
 
 def _content_lines(text: str) -> Iterator[list[str]]:

@@ -44,8 +44,7 @@ class SignedFormula:
                     raise ValidationError(f"bad literal op {op!r}")
 
 
-@dataclass(frozen=True)
-class BoolCnf:
+class BoolCnf(NamedTuple):
     """Clauses of at most two DIMACS-style int literals (+v / -v)."""
 
     num_vars: int

@@ -838,3 +838,28 @@ def test_twelve_petal_flower_scans_one_all_opt_mask():
     opt, _ = exact_min_hitting_set(sets, g.n)
     stats = assert_same_scan(make_instance(g, targets, opt))
     assert stats.branches_enumerated == 4096 and stats.branches_after_filter == 1
+
+
+def test_wide_flower_scan_visits_only_admitted_masks():
+    # a core joined to both ends of 28 petals of 30 vertices, each petal
+    # with targets on positions 6-8 and 21-23, and two crossing targets from
+    # one petal's end through the core into another petal: the optimum is
+    # 2 * 28 + 1 = 57, and at t = 57 the filters admit 29 masks of S' = {}
+    # (one petal at opt + 1, or none) and the all-opt mask of S' = {core}
+    # out of 2 * 2^28; a scan over every mask took seconds at 26 petals
+    z, length = 1, 30
+    petals = [list(range(2 + a * length, 2 + (a + 1) * length)) for a in range(28)]
+    edges = [e for p in petals for e in [(z, p[0]), *zip(p, p[1:]), (p[-1], z)]]
+    targets = [tuple(p[lo - 1 : lo + 2]) for p in petals for lo in (6, 21)]
+    targets += [(petals[0][-1], z, petals[1][0]), (petals[2][-1], z, petals[3][0])]
+    g = Graph.build(1 + 28 * length, edges)
+    inst = make_instance(g, targets, 57)
+    stats = SolveStats()
+    t0 = time.perf_counter()
+    sol = solve(inst, stats)
+    assert time.perf_counter() - t0 < 1.0
+    check_yes(inst, sol)
+    assert z in sol.chosen
+    assert (stats.branches_enumerated, stats.branches_after_filter, stats.flower_calls) == (
+        2 * 2**28, 30, 29)
+    assert solve(make_instance(g, targets, 56)).verdict == "NO"

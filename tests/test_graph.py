@@ -5,6 +5,7 @@ import pytest
 
 from hitpaths import (
     Graph,
+    InvariantViolation,
     NotAPath,
     PathComponent,
     ValidationError,
@@ -86,6 +87,33 @@ def test_connect_components_preserves_k():
     assert connect_components(cycle(4)) == cycle(4)
     dust = connect_components(Graph.build(3, []))
     assert len(dust.components()) == 1 and cyclomatic_number(dust) == 0
+
+
+def test_connect_components_matches_a_rebuild_with_the_bridges():
+    # the bridged graph copies the validated neighbour sets; it must equal
+    # a Graph.build of the input's edges plus the bridges
+    rng = random.Random(113)
+    bridged = 0
+    for _ in range(300):
+        inst = disconnected_instance(rng)
+        for g in (inst.graph, preprocess(inst).graph):
+            comps = g.components()
+            bridges = [(comps[0][0], c[0]) for c in comps[1:]]
+            got = connect_components(g)
+            assert got == Graph.build(g.n, [*g.edges, *bridges])
+            bridged += bool(bridges)
+    assert bridged > 400, bridged
+    g = Graph.build(3, [(1, 2)])
+    assert connect_components(g) == Graph.build(3, [(1, 2), (1, 3)])
+    assert g == Graph.build(3, [(1, 2)])  # the input keeps its sets
+
+
+def test_connect_components_rejects_a_bridge_between_adjacent_vertices():
+    # a one-sided adjacency puts 3 in a component of its own, though its
+    # set already lists 1, so the bridge (1, 3) would join adjacent vertices
+    broken = Graph(3, 1, {1: set(), 2: set(), 3: {1}})
+    with pytest.raises(InvariantViolation):
+        connect_components(broken)
 
 
 def test_is_simple_path():

@@ -10,10 +10,11 @@ import random
 
 import pytest
 
-from hitpaths import GeneratorConfig, Graph, gen_random_instance, make_instance, solve
+from hitpaths import Graph, make_instance, solve
 from hitpaths.bench import _agreement_instance
 from hitpaths.instance_io import unhit_targets
 from hitpaths.oracle import reference_verdict
+from hitpaths.reductions import GeneratorConfig, gen_random_instance
 
 SEEDS = range(100)
 

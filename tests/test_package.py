@@ -1,5 +1,9 @@
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import hitpaths
@@ -53,3 +57,46 @@ def test_every_definition_has_a_caller_outside_the_tests():
         and not any(r == name and not (f == path and first <= line <= last) for f, line, r in refs)
     ]
     assert unused == []
+
+
+def loaded_modules(code: str) -> dict:
+    """Run `code` in a fresh interpreter on the package in src/; it leaves
+    its results in a dict `out`, returned with the package's loaded modules."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    report = (
+        "import json, sys\n"
+        "out['modules'] = sorted(m for m in sys.modules if m.split('.')[0] == 'hitpaths')\n"
+        "print(json.dumps(out))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", "out = {}\n" + code + "\n" + report],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_importing_the_solver_loads_only_the_modules_a_solve_runs():
+    got = loaded_modules("import hitpaths, hitpaths.fpt, hitpaths.instance_io")
+    solve_modules = ["errors", "flower", "fpt", "graph", "instance_io", "mvsat", "treecycle"]
+    assert got["modules"] == ["hitpaths"] + [f"hitpaths.{m}" for m in solve_modules]
+
+
+def test_cli_solve_and_a_yes_verify_load_no_oracle_generator_or_harness(tmp_path):
+    inst = tmp_path / "inst.hp"
+    inst.write_text("p hitpaths 4 5 2 1\ne 1 2\ne 2 3\ne 3 4\ne 1 4\ne 1 3\n"
+                    "s 3 2 1 4\ns 2 3 4\n", encoding="utf-8")
+    sol = tmp_path / "inst.sol"
+    got = loaded_modules(
+        "import contextlib, io\n"
+        "from hitpaths import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+        f"    out['solve'] = cli.run(['solve', {str(inst)!r}])\n"
+        f"open({str(sol)!r}, 'w', encoding='utf-8').write(text.getvalue())\n"
+        f"out['verify'] = cli.run(['verify', {str(inst)!r}, {str(sol)!r}])\n"
+    )
+    assert (got["solve"], got["verify"]) == (0, 0)
+    assert sol.read_text(encoding="utf-8").startswith("s 1 ")
+    assert "hitpaths.cli" in got["modules"]
+    unused = {"hitpaths.bench", "hitpaths.oracle", "hitpaths.reductions"}
+    assert unused.isdisjoint(got["modules"]), got["modules"]
