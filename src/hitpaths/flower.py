@@ -186,7 +186,7 @@ def canonical_table(petal_length: int, internal_paths, budget: int) -> Canonical
 
 
 def fragment_literal(
-    petal_index: int, fragment: Interval, petal_length: int, table: CanonicalTable
+    petal_index: int, fragment: Interval, table: CanonicalTable
 ) -> Optional[SignedLiteral]:
     """Literal over the petal's index variable characterizing when the
     canonical solution hits the given prefix or suffix fragment.
@@ -198,7 +198,7 @@ def fragment_literal(
     """
     if fragment.lo == 1:
         return SignedLiteral(petal_index, LE, fragment.hi)
-    if fragment.hi != petal_length:
+    if fragment.hi != table.length:
         raise ValidationError(f"fragment [{fragment.lo},{fragment.hi}] is neither prefix nor suffix")
     j = bisect_left(table.maxima, fragment.lo)
     return SignedLiteral(petal_index, GE, table.first + j) if j < len(table.maxima) else None
@@ -233,7 +233,7 @@ def solve_flower(inst: FlowerInstance) -> Solution:
 
     seen_clauses = set()
     for frags in inst.crossing:
-        lits = [fragment_literal(i + 1, iv, len(inst.petals[i]), tables[i]) for i, iv in frags]
+        lits = [fragment_literal(i + 1, iv, tables[i]) for i, iv in frags]
         lits = [lit for lit in lits if lit is not None]
         if not lits:
             return Solution("NO")

@@ -94,79 +94,64 @@ def signed_to_classical(f: SignedFormula) -> tuple[BoolCnf, Callable[[list[bool]
 
 
 def solve_2sat(cnf: BoolCnf) -> Optional[list[bool]]:
-    """Deterministic model (1-indexed list, slot 0 unused) or None if UNSAT."""
-    nv = cnf.num_vars
-    # literal node: positive v -> 2v, negative v -> 2v+1
-    succ: list[list[int]] = [[] for _ in range(2 * nv + 2)]
+    """Deterministic model (1-indexed list, slot 0 unused) or None if UNSAT.
 
-    def node(lit: int) -> int:
-        return 2 * lit if lit > 0 else 2 * (-lit) + 1
-
-    def neg(nd: int) -> int:
-        return nd ^ 1
-
+    Literal v is node 2v and -v node 2v + 1, so node x ^ 1 is x's negation.
+    A clause wider than two raises ClauseTooWide, and literal 0 or one
+    naming a variable outside 1..num_vars raises ValidationError.
+    """
+    top = 2 * cnf.num_vars + 2
+    succ: list[list[int]] = [[] for _ in range(top)]
     for clause in cnf.clauses:
-        if len(clause) == 0:
-            return None
-        if len(clause) == 1:
-            a = node(clause[0])
-            succ[neg(a)].append(a)
-        else:
-            a, b = node(clause[0]), node(clause[1])
-            succ[neg(a)].append(b)
-            succ[neg(b)].append(a)
+        if len(clause) > 2:
+            raise ClauseTooWide(f"clause of width {len(clause)} (max 2)")
+        if clause:  # -a implies b, and -b implies a; a unit clause has a = b
+            a, b = clause[0], clause[-1]
+            a, b = 2 * a if a > 0 else 1 - 2 * a, 2 * b if b > 0 else 1 - 2 * b
+            if not (1 < a < top and 1 < b < top):
+                raise ValidationError(f"clause {clause} names a variable outside 1..{cnf.num_vars}")
+            succ[a ^ 1].append(b)
+            if len(clause) == 2:
+                succ[b ^ 1].append(a)
+    if () in cnf.clauses:
+        return None
 
-    # Iterative Tarjan; components are emitted in reverse topological order.
-    index = [0] * (2 * nv + 2)
-    low = [0] * (2 * nv + 2)
-    comp = [-1] * (2 * nv + 2)
-    on_stack = [False] * (2 * nv + 2)
+    # Iterative Tarjan; components are numbered in reverse topological order.
+    # A node with an index and no component yet is exactly one on the stack.
+    index = [0] * top
+    low = [0] * top
+    comp = [-1] * top
     stack: list[int] = []
-    counter = 1
-    n_comps = 0
-    for root in range(2, 2 * nv + 2):
+    counter = n_comps = 0
+    for root in range(2, top):
         if index[root]:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = counter = counter + 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
         while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while ei < len(succ[v]):
-                w = succ[v][ei]
-                ei += 1
+            v, edges = work[-1]
+            for w in edges:
                 if not index[w]:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = counter = counter + 1
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[w]:
+                if comp[w] < 0:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = n_comps
-                    if w == v:
-                        break
-                n_comps += 1
-            if work:
-                p, _ = work[-1]
-                low[p] = min(low[p], low[v])
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    while comp[v] < 0:
+                        comp[stack.pop()] = n_comps
+                    n_comps += 1
+                if work:
+                    p = work[-1][0]
+                    low[p] = min(low[p], low[v])
 
-    model = [False] * (nv + 1)
-    for v in range(1, nv + 1):
-        if comp[2 * v] == comp[2 * v + 1]:
-            return None
-        model[v] = comp[2 * v] < comp[2 * v + 1]
-    return model
+    if any(comp[x] == comp[x + 1] for x in range(2, top, 2)):
+        return None
+    return [False] + [comp[x] < comp[x + 1] for x in range(2, top, 2)]
 
 
 def solve_tors2sat(f: SignedFormula) -> Optional[tuple[int, ...]]:

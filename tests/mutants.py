@@ -1,0 +1,207 @@
+"""Mutant ledger: source mutations that the tier-1 tests must catch.
+
+Each mutant names a file of the package, an exact old text, the new text
+that replaces it, and the tier-1 tests that must fail once it is applied;
+it is killed when every one of them fails. The script first runs every
+named test on an unmutated copy of src/ (a test that fails anyway kills
+nothing), then, for each mutant, applies it to a fresh temporary copy of
+src/ and runs its tests against that copy, printing the time each took.
+
+    python tests/mutants.py   # exit 1 if a mutant survives or is stale
+
+A mutant is stale when its old text does not occur exactly once in its
+file. A mutant that survives is a finding about the tests, not a line to
+delete from the list.
+
+Not collected by pytest (the file name does not start with test_).
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/hitpaths
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "peel pops a vertex whose live degree dropped to 2",
+        "fpt.py",
+        "                if d == 2:\n",
+        "                if d in (2, 3):\n",
+        (
+            "tests/test_fpt.py::test_preprocess_matches_quadratic_reference",
+            "tests/test_fpt.py::test_long_pendant_chain_with_far_singleton",
+        ),
+    ),
+    Mutant(
+        "residual drops the edge at its smallest vertex",
+        "fpt.py",
+        "    residual = Graph(",
+        "    if nbrs and nbrs[min(nbrs)]:\n"
+        "        u = min(nbrs)\n"
+        "        w = min(nbrs[u])\n"
+        "        nbrs[u].discard(w)\n"
+        "        nbrs[w].discard(u)\n"
+        "    residual = Graph(",
+        (
+            "tests/test_fpt.py::test_preprocess_matches_quadratic_reference",
+            "tests/test_fpt.py::test_k_and_verdict_come_off_the_walk",
+        ),
+    ),
+    Mutant(
+        "2-SAT encoding drops the chain clauses",
+        "mvsat.py",
+        "    out += [(-bvar[hi], bvar[lo]) for lo, hi in zip(named, named[1:]) if lo[0] == hi[0]]\n",
+        "",
+        (
+            "tests/test_mvsat.py::test_encoding_matches_dense_reference",
+            "tests/test_mvsat.py::test_decoded_models_are_monotone",
+        ),
+    ),
+    Mutant(
+        "canonical table's chain end off by one",
+        "flower.py",
+        "end[p] = end[q] or p\n",
+        "end[p] = end[q] or p + 1\n",
+        (
+            "tests/test_flower.py::test_canonical_table_matches_eager_reference",
+            "tests/test_flower.py::test_canonical_laws_random",
+        ),
+    ),
+    Mutant(
+        "cycle solver reads every target forwards",
+        "fpt.py",
+        "        if len(p) > 1 and twice[start] != p[1]:  # runs backwards\n"
+        "            start = pos[p[-1]]\n",
+        "",
+        (
+            "tests/test_fpt.py::test_solve_cycle_with_whole_cycle_targets",
+            "tests/test_fpt.py::test_long_cycle_solves_in_linear_time",
+        ),
+    ),
+    Mutant(
+        "one-sided adjacency",
+        "graph.py",
+        "            adj[v].add(u)\n",
+        "",
+        (
+            "tests/test_io.py::test_graph_build_stores_the_adjacency_of_its_edges",
+            "tests/test_graph.py::test_path_components_of_c4",
+        ),
+    ),
+    Mutant(
+        "certificate takes the largest chosen vertex",
+        "instance_io.py",
+        "tuple(map(min, map(cs.intersection, paths)))",
+        "tuple(map(max, map(cs.intersection, paths)))",
+        (
+            "tests/test_io.py::test_target_checks_match_the_set_building_reference",
+        ),
+    ),
+    Mutant(
+        "solve_flower always answers NO",
+        "flower.py",
+        "    if () in inst.crossing:  # a target that is the bare core\n",
+        "    if True:\n",
+        (
+            "tests/test_flower.py::test_solve_flower_worked_example",
+            "tests/test_flower.py::test_solve_flower_matches_bruteforce_random",
+        ),
+    ),
+    Mutant(
+        "Tarjan counts every visited node as on the stack",
+        "mvsat.py",
+        "                if comp[w] < 0:\n",
+        "                if True:\n",
+        (
+            "tests/test_mvsat.py::test_solve_2sat_models_match_cursor_reference",
+            "tests/test_mvsat.py::test_solve_2sat_matches_truth_table",
+        ),
+    ),
+    Mutant(
+        "solve_2sat drops its clause width check",
+        "mvsat.py",
+        "        if len(clause) > 2:\n"
+        '            raise ClauseTooWide(f"clause of width {len(clause)} (max 2)")\n'
+        "        if clause:",
+        "        if clause:",
+        (
+            "tests/test_mvsat.py::test_solve_2sat_checks_its_clauses",
+        ),
+    ),
+    Mutant(
+        "solve_2sat drops its literal range check",
+        "mvsat.py",
+        "            if not (1 < a < top and 1 < b < top):\n",
+        "            if False:\n",
+        (
+            "tests/test_mvsat.py::test_solve_2sat_checks_its_clauses",
+        ),
+    ),
+)
+
+
+def run_tests(src: Path, tests) -> tuple[int, list[str]]:
+    """pytest's exit code and the ids of the tests that passed, with the
+    package imported from src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rp", "-p", "no:cacheprovider", *tests]
+    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    return done.returncode, re.findall(r"^PASSED (\S+)", done.stdout, re.M)
+
+
+def copy_src(tmp: str) -> Path:
+    src = Path(tmp) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    return src
+
+
+def main() -> int:
+    named = sorted({t for m in MUTANTS for t in m.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        code, _ = run_tests(copy_src(tmp), named)
+    if code:
+        print(f"the named tests do not all pass on the unmutated source (pytest exit {code})")
+        return 1
+    failures = 0
+    for m in MUTANTS:
+        path = ROOT / "src" / "hitpaths" / m.file
+        found = path.read_text().count(m.old)
+        if found != 1 or not m.tests:
+            print(f"STALE     {m.file}: old text found {found} times, {len(m.tests)} tests  {m.name}")
+            failures += 1
+            continue
+        t0 = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            target = copy_src(tmp) / "hitpaths" / m.file
+            target.write_text(path.read_text().replace(m.old, m.new))
+            _, passed = run_tests(target.parent.parent, m.tests)
+        verdict = "SURVIVED" if passed else "killed"
+        print(f"{verdict:9} {time.perf_counter() - t0:5.1f} s  {m.name}", flush=True)
+        for test in passed:
+            print(f"          passes on the mutant: {test}")
+        failures += bool(passed)
+    print(f"{len(MUTANTS)} mutants, {failures} survived or stale")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,11 +2,12 @@
 
 Small and slow on purpose: lexicographic enumeration of signed formulas,
 exact-budget enumeration for flowers, and naive clique search. Also the
-earlier, simpler versions of rewritten package code: the dense 2-SAT
+earlier versions of rewritten package code: the dense 2-SAT
 encoding with a boolean for every value of every variable, the two-pass
 instance parse, the set-building target checks, the canonical table that
-builds every solution up front and the per-vertex component classification.
-The package itself never calls them.
+builds every solution up front, the per-vertex component classification and
+the 2-SAT solver with an edge cursor per frame. The package itself never
+calls them.
 """
 
 from __future__ import annotations
@@ -298,3 +299,81 @@ def classifying_component_budgets(g: Graph, s, paths) -> list[ComponentData]:
         opt, pts = stab_intervals(len(comp.vertices), comp_spans)
         out.append(ComponentData(comp, opt, pts, frozenset(cover)))
     return out
+
+
+def cursor_solve_2sat(cnf: BoolCnf) -> Optional[list[bool]]:
+    """The earlier solve_2sat, whose iterative Tarjan keeps an on-stack flag
+    and an edge cursor per frame. It reads only the first two literals of a
+    clause and checks none of them."""
+    nv = cnf.num_vars
+    # literal node: positive v -> 2v, negative v -> 2v+1
+    succ: list[list[int]] = [[] for _ in range(2 * nv + 2)]
+
+    def node(lit: int) -> int:
+        return 2 * lit if lit > 0 else 2 * (-lit) + 1
+
+    def neg(nd: int) -> int:
+        return nd ^ 1
+
+    for clause in cnf.clauses:
+        if len(clause) == 0:
+            return None
+        if len(clause) == 1:
+            a = node(clause[0])
+            succ[neg(a)].append(a)
+        else:
+            a, b = node(clause[0]), node(clause[1])
+            succ[neg(a)].append(b)
+            succ[neg(b)].append(a)
+
+    # Iterative Tarjan; components are emitted in reverse topological order.
+    index = [0] * (2 * nv + 2)
+    low = [0] * (2 * nv + 2)
+    comp = [-1] * (2 * nv + 2)
+    on_stack = [False] * (2 * nv + 2)
+    stack: list[int] = []
+    counter = 1
+    n_comps = 0
+    for root in range(2, 2 * nv + 2):
+        if index[root]:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, ei = work[-1]
+            if ei == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            while ei < len(succ[v]):
+                w = succ[v][ei]
+                ei += 1
+                if not index[w]:
+                    work[-1] = (v, ei)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = n_comps
+                    if w == v:
+                        break
+                n_comps += 1
+            if work:
+                p, _ = work[-1]
+                low[p] = min(low[p], low[v])
+
+    model = [False] * (nv + 1)
+    for v in range(1, nv + 1):
+        if comp[2 * v] == comp[2 * v + 1]:
+            return None
+        model[v] = comp[2 * v] < comp[2 * v + 1]
+    return model

@@ -67,12 +67,12 @@ def test_canonical_laws_random():
 
 def test_fragment_literals():
     table = canonical_table(5, PETAL, 2)
-    assert fragment_literal(1, Interval(1, 3), 5, table) == SignedLiteral(1, LE, 3)
-    assert fragment_literal(1, Interval(5, 5), 5, table) == SignedLiteral(1, GE, 2)
+    assert fragment_literal(1, Interval(1, 3), table) == SignedLiteral(1, LE, 3)
+    assert fragment_literal(1, Interval(5, 5), table) == SignedLiteral(1, GE, 2)
     short = canonical_table(3, [Interval(2, 2)], 1)
-    assert fragment_literal(2, Interval(3, 3), 3, short) is None
+    assert fragment_literal(2, Interval(3, 3), short) is None
     with pytest.raises(ValidationError):
-        fragment_literal(1, Interval(2, 3), 5, table)
+        fragment_literal(1, Interval(2, 3), table)
 
 
 def test_make_flower_validation():

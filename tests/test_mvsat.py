@@ -13,6 +13,7 @@ from hitpaths import (
     ClauseTooWide,
     SignedFormula,
     SignedLiteral,
+    ValidationError,
     signed_to_classical,
     solve_2sat,
     solve_tors2sat,
@@ -20,7 +21,7 @@ from hitpaths import (
 from hitpaths.mvsat import satisfies
 
 from conftest import random_signed_formula
-from reference import dense_signed_to_classical, enumerate_signed
+from reference import cursor_solve_2sat, dense_signed_to_classical, enumerate_signed
 
 
 def truth_table_2sat(cnf: BoolCnf):
@@ -62,6 +63,43 @@ def test_solve_2sat_matches_truth_table():
                 any(got[l] if l > 0 else not got[-l] for l in clause)
                 for clause in cnf.clauses
             )
+
+
+def test_solve_2sat_checks_its_clauses():
+    # x_3 = True satisfies this; a solver reading two literals per clause says UNSAT
+    with pytest.raises(ClauseTooWide):
+        solve_2sat(BoolCnf(3, ((1, 2, 3), (-1,), (-2,))))
+    for clause in ((1, 5), (0,), (-2,), (1, 0)):
+        with pytest.raises(ValidationError):
+            solve_2sat(BoolCnf(1, (clause,)))
+    with pytest.raises(ValidationError):  # checked also after an empty clause
+        solve_2sat(BoolCnf(1, ((), (2,))))
+
+
+def test_solve_2sat_models_match_cursor_reference():
+    rng = random.Random(47)
+    verdicts = Counter()
+    for _ in range(400):
+        nv = rng.randint(0, 12)
+        clauses = []
+        for _ in range(rng.randint(0, 3 * nv)):
+            lit = rng.choice([1, -1]) * rng.randint(1, nv)
+            shape = rng.random()
+            if shape < 0.2:
+                clauses.append((lit,))
+            elif shape < 0.3:
+                clauses.append((lit, lit))
+            else:
+                clauses.append((lit, rng.choice([1, -1]) * rng.randint(1, nv)))
+            if rng.random() < 0.1:
+                clauses.append(clauses[rng.randrange(len(clauses))])
+        if rng.random() < 0.05:
+            clauses.insert(rng.randint(0, len(clauses)), ())
+        cnf = BoolCnf(nv, tuple(clauses))
+        model = solve_2sat(cnf)
+        assert model == cursor_solve_2sat(cnf), cnf
+        verdicts[model is None] += 1
+    assert min(verdicts.values()) > 100, verdicts
 
 
 def test_encoding_single_ge_clause():
