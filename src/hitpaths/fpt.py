@@ -12,7 +12,6 @@ answer.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -51,82 +50,77 @@ class SolveStats:
 def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     """Remove degree-<=1 vertices until the residual has min degree >= 2.
 
-    A vertex demanded by a singleton target is forced into the solution and
-    the budget drops by one; any other low-degree vertex can be skipped, so
-    it is deleted and shaved off the ends of the targets containing it.
+    Vertices are peeled smallest id first, in Prüfer order and with no heap:
+    one upward scan of the ids peels a vertex of live degree <= 1 when it
+    gets there, and a peel that leaves a neighbour below the scan at degree
+    1 peels that neighbour at once (Batagelj-Zaversnik peeling). Live
+    degrees and peel steps are kept in lists beside the graph's shared,
+    unmodified adjacency.
 
-    Vertices are peeled smallest id first from a heap of the live vertices
-    of degree <= 1 (Batagelj-Zaversnik peeling) on a map of live degrees
-    over the graph's shared, unmodified adjacency. Each target is trimmed
-    by moving its end pointers, and a vertex on no target skips that work,
-    so the pass takes O((n + m) log n + sum of target lengths). Peeling
-    keeps m - n + c, so the residual has the input's k; two self-checks back
-    this: no peeled vertex has two live neighbours, and the residual keeps
-    exactly the unpeeled edges. Input that does not peel is returned as is.
+    One rule over the peel steps then settles the targets: a target peeled
+    whole forces its last-peeled vertex into the solution (the budget drops
+    by one) unless a vertex forced at an earlier step already hits it, and
+    every other target that no forced vertex hits keeps its unpeeled middle.
+    The pass takes O(n + m + sum of target lengths). Peeling keeps m - n + c,
+    so the residual has the input's k. Self-checks: no peeled vertex has two
+    live neighbours, the residual keeps exactly the unpeeled edges, and no
+    kept target loses an inner vertex or is emptied. Input that does not
+    peel is returned as is.
     """
     if inst.kind != KIND_PATHS:
         raise ValidationError("the FPT solver handles path targets only")
     g = inst.graph
-    low = [v for v, ns in g.adjacency().items() if len(ns) <= 1]
-    if not low:  # nothing peels: the residual is the input
-        return PreprocessResult(g, inst.paths, frozenset(), inst.t, {v: v for v in g.vertices()})
     adj = g.adjacency()  # shared: read only
-    deg = [0, *map(len, map(adj.__getitem__, g.vertices()))]  # live degree per id, 0 once peeled
-    paths = inst.paths
-    lo = [0] * len(paths)
-    hi = [len(p) for p in paths]
-    live = [True] * len(paths)
-    through: dict[int, list[int]] = {}  # vertex -> ids of the targets on it
-    for i, p in enumerate(paths):
-        for v in p:
-            through.setdefault(v, []).append(i)
-    forced: set[int] = set()
-    t = inst.t
+    deg = [0, *map(len, map(adj.__getitem__, g.vertices()))]  # live degree per id
+    if min(deg[1:], default=2) > 1:  # nothing peels: the residual is the input
+        return PreprocessResult(g, inst.paths, frozenset(), inst.t, {v: v for v in g.vertices()})
+    order: list[int] = []  # the peeled vertices, in peel order
+    when = [0] * len(deg)  # the step at which each id was peeled, 0 while live
     removed = 0  # edges peeled away
-    heapq.heapify(low)
-    while low:
-        v = heapq.heappop(low)
-        deg[v] = 0
-        before = removed
-        for w in adj[v]:
-            d = deg[w]  # 0 once w is peeled, else at least 1
-            if d:
-                removed += 1
-                deg[w] = d - 1
-                if d == 2:
-                    heapq.heappush(low, w)
-        if removed - before > 1:
-            raise InvariantViolation(f"preprocessing peeled a vertex of degree {removed - before}")
-        on = through.get(v, ())
-        for i in on:
-            if live[i] and hi[i] - lo[i] == 1:
-                forced.add(v)
-                t -= 1
-                for j in on:
-                    live[j] = False
+    for top in g.vertices():  # the scan: each live id below it has degree >= 2
+        v = top
+        while deg[v] <= 1:
+            order.append(v)
+            when[v] = len(order)
+            nxt = 0  # v's one live neighbour, if any
+            for w in adj[v]:
+                if not when[w]:
+                    if nxt:
+                        raise InvariantViolation("preprocessing peeled a vertex of degree 2 or more")
+                    nxt = w
+            if not nxt:
                 break
-        else:
-            # v has degree <= 1, so it can only sit at the end of a target
-            for i in filter(live.__getitem__, on):
-                if paths[i][lo[i]] == v:
-                    lo[i] += 1
-                elif paths[i][hi[i] - 1] == v:
-                    hi[i] -= 1
-                else:
-                    raise InvariantViolation("preprocessing peeled an inner target vertex")
-
-    new_to_old = dict(enumerate(filter(deg.__getitem__, g.vertices()), 1))
+            removed += 1
+            v = nxt
+            deg[v] -= 1
+            if v > top:  # left for the scan to reach
+                break
+    new_to_old = dict(enumerate([v for v in g.vertices() if not when[v]], 1))
     old_to_new = {v: i for i, v in new_to_old.items()}
-    nbrs = {i: {old_to_new[w] for w in adj[v] if deg[w]} for i, v in new_to_old.items()}
+    nbrs = {i: {old_to_new[w] for w in adj[v] if not when[w]} for i, v in new_to_old.items()}
     residual = Graph(len(nbrs), sum(map(len, nbrs.values())) // 2, nbrs)
     if g.m - residual.m != removed:
         raise InvariantViolation("the residual does not keep exactly the unpeeled edges")
-    new_paths = tuple(
-        tuple(old_to_new[v] for v in p[lo[i] : hi[i]]) for i, p in enumerate(paths) if live[i]
-    )
-    if not all(new_paths):
-        raise InvariantViolation("preprocessing emptied a target")
-    return PreprocessResult(residual, new_paths, frozenset(forced), t, new_to_old)
+    ends: dict[int, list[tuple[int, ...]]] = {}  # last-peeled vertex -> targets peeled whole
+    for p in inst.paths:
+        if all(map(when.__getitem__, p)):
+            ends.setdefault(max(p, key=when.__getitem__), []).append(p)
+    forced: set[int] = set()
+    for v in filter(ends.__contains__, order):
+        if any(map(forced.isdisjoint, ends[v])):  # a target no earlier forced vertex hits
+            forced.add(v)
+    new_paths = []
+    for p in filter(forced.isdisjoint, inst.paths):
+        steps = [*map(when.__getitem__, p)]
+        if all(steps):
+            raise InvariantViolation("preprocessing emptied a target")
+        a = steps.index(0)  # the unpeeled middle is p[a:b]
+        b = a + steps.count(0)
+        if any(steps[a:b]):
+            raise InvariantViolation("preprocessing peeled an inner target vertex")
+        new_paths.append(tuple(map(old_to_new.__getitem__, p[a:b])))
+    t = inst.t - len(forced)
+    return PreprocessResult(residual, tuple(new_paths), frozenset(forced), t, new_to_old)
 
 
 class ComponentData(NamedTuple):

@@ -57,10 +57,12 @@ class Graph:
         """Connected components of the subgraph induced by vs (default: all
         vertices) as sorted vertex lists, ordered by smallest id."""
         adj = self.adjacency()
-        inside = set(self.vertices() if vs is None else vs)
+        if vs is not None:
+            inside = set(vs)
+            adj = {v: adj[v] & inside for v in inside}
         seen: set[int] = set()
         comps = []
-        for start in sorted(inside):
+        for start in sorted(adj):
             if start in seen:
                 continue
             stack = [start]
@@ -69,7 +71,7 @@ class Graph:
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in adj[v] & inside:
+                for w in adj[v]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)

@@ -41,13 +41,43 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "peel pops a vertex whose live degree dropped to 2",
+        "peel takes a vertex of live degree 2",
         "fpt.py",
-        "                if d == 2:\n",
-        "                if d in (2, 3):\n",
+        "        while deg[v] <= 1:\n",
+        "        while deg[v] <= 2:\n",
         (
             "tests/test_fpt.py::test_preprocess_matches_quadratic_reference",
             "tests/test_fpt.py::test_long_pendant_chain_with_far_singleton",
+        ),
+    ),
+    Mutant(
+        "a target peeled whole forces its first-peeled vertex",
+        "fpt.py",
+        "max(p, key=when.__getitem__)",
+        "min(p, key=when.__getitem__)",
+        (
+            "tests/test_fpt.py::test_preprocess_peels_smallest_id_first",
+            "tests/test_fpt.py::test_preprocess_matches_quadratic_reference",
+        ),
+    ),
+    Mutant(
+        "a target peeled whole forces a vertex even when already hit",
+        "fpt.py",
+        "        if any(map(forced.isdisjoint, ends[v])):",
+        "        if ends[v]:",
+        (
+            "tests/test_fpt.py::test_preprocess_peels_smallest_id_first",
+            "tests/test_fpt.py::test_preprocess_matches_quadratic_reference",
+        ),
+    ),
+    Mutant(
+        "a peel cascades above the scan",
+        "fpt.py",
+        "            if v > top:",
+        "            if False:",
+        (
+            "tests/test_fpt.py::test_preprocess_peels_smallest_id_first",
+            "tests/test_fpt.py::test_preprocess_matches_quadratic_reference",
         ),
     ),
     Mutant(

@@ -369,6 +369,14 @@ def test_preprocess_checks_each_peeled_degree():
         preprocess(inst)
 
 
+def test_preprocess_checks_its_peel_on_a_corrupted_adjacency():
+    # 2 does not list 1, so the peel runs round the C4 from 2 and strips the
+    # target (1, 2, 3) from its middle; some self-check must catch it
+    g = with_adjacency(4, [(1, 2), (2, 3), (3, 4), (1, 4)], missing=[(2, 1)]).graph
+    with pytest.raises(InvariantViolation):
+        preprocess(make_instance(g, [(1, 2, 3)], 1))
+
+
 def test_preprocess_peels_smallest_id_first():
     # on a lone edge, the smaller end is peeled first and shaves the target
     # down to the other end, which is then forced
@@ -382,6 +390,22 @@ def test_preprocess_peels_smallest_id_first():
     pre = preprocess(inst)
     assert pre == quadratic_preprocess(inst)
     assert pre.forced == frozenset({3, 4}) and pre.t_remaining == 0
+    # path 1-5-2-4-3: peeling 1 leaves 5, above the scan, at degree 1 while
+    # the smaller leaf 3 waits; the order is 1, 3, 4, 2, 5, so (2, 4) forces
+    # 2 (peeling 5 at once would take 2 and 4 before 3, and force 4)
+    inst = make_instance(Graph.build(5, [(1, 5), (5, 2), (2, 4), (4, 3)]), [(2, 4)], 1)
+    pre = preprocess(inst)
+    assert pre == quadratic_preprocess(inst)
+    assert pre.forced == frozenset({2}) and pre.paths == ()
+    # path 2-1-3 off a triangle: peeling 2 leaves 1, below the scan, at degree
+    # 1, so 1 goes before the scan reaches 3; (1, 3) forces 3, which also
+    # hits (2, 1, 3, 4), and (4, 5) is kept
+    g = Graph.build(6, [(2, 1), (1, 3), (3, 4), (4, 5), (5, 6), (4, 6)])
+    inst = make_instance(g, [(1, 3), (2, 1, 3, 4), (4, 5)], 2)
+    pre = preprocess(inst)
+    assert pre == quadratic_preprocess(inst)
+    assert pre.forced == frozenset({3}) and pre.t_remaining == 1
+    assert [tuple(map(pre.new_to_old.__getitem__, p)) for p in pre.paths] == [(4, 5)]
 
 
 def test_edgeless_instance_does_not_hang():
