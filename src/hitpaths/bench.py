@@ -17,14 +17,14 @@ from .reductions import GeneratorConfig, gen_random_instance
 
 
 def scaling_instance(k: int) -> HitPathsInstance:
-    """NO-instance that drives the branch scan to near-exhaustion.
+    """YES-instance that drives the branch scan to near-exhaustion.
 
     The host is a 3-regular multigraph skeleton (a theta graph for k = 2, a
     cycle-plus-matching circulant for even larger k) with every skeleton
     edge subdivided. Singleton targets on the skeleton vertices force all
-    of them into any solution, so only the final branch can succeed; the
-    budget admits every branch through the cost filter. Subdivision lengths
-    differ per k so that the per-branch workload stays comparable.
+    of them into any solution, so only the branches with S' = S, scanned
+    last, can succeed; the budget admits every branch through the cost
+    filter. Subdivision lengths differ per k to keep per-branch work level.
     """
     if k == 2:
         skeleton_n, skeleton_edges, subdiv = 2, [(1, 2), (1, 2), (1, 2)], 9

@@ -19,7 +19,7 @@ from typing import Optional
 from .errors import InvariantViolation, ValidationError
 from .instance_io import Solution
 from .mvsat import GE, LE, SignedFormula, SignedLiteral, solve_tors2sat
-from .treecycle import Interval, chain, reach
+from .treecycle import Interval, chain, pad, reach
 
 
 @dataclass(frozen=True)
@@ -141,11 +141,7 @@ class CanonicalTable(Sequence):
         j = ell - self.first
         if not 0 <= j < len(self.maxima):
             return None
-        chosen = set(chain(self.reach, ell, self.length))
-        pad = self.length
-        while len(chosen) < self.budget:
-            chosen.add(pad)
-            pad -= 1
+        chosen = pad(chain(self.reach, ell, self.length), self.length, self.budget)
         if min(chosen) != ell or max(chosen) != self.maxima[j]:
             raise InvariantViolation(
                 f"canonical solution {ell} does not run from {ell} to {self.maxima[j]}"

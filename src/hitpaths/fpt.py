@@ -25,15 +25,14 @@ from .graph import (
     path_components,
 )
 from .instance_io import KIND_PATHS, HitPathsInstance, Solution, certificate_for
-from .treecycle import hit_paths_in_cycle, stab_intervals
+from .treecycle import hit_paths_in_cycle, pad, stab_intervals
 
 
 class PreprocessResult(NamedTuple):
-    graph: Graph  # relabeled residual graph, min degree >= 2 (or empty)
-    paths: tuple[tuple[int, ...], ...]  # in residual ids
-    forced: frozenset[int]  # original ids forced into every solution
+    graph: Graph  # residual graph in the input's ids, min degree >= 2 (or empty)
+    paths: tuple[tuple[int, ...], ...]  # the kept targets' unpeeled middles
+    forced: frozenset[int]  # vertices forced into every solution
     t_remaining: int  # may be negative
-    new_to_old: dict[int, int]  # residual id -> original id
 
 
 @dataclass
@@ -64,8 +63,8 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     The pass takes O(n + m + sum of target lengths). Peeling keeps m - n + c,
     so the residual has the input's k. Self-checks: no peeled vertex has two
     live neighbours, the residual keeps exactly the unpeeled edges, and no
-    kept target loses an inner vertex or is emptied. Input that does not
-    peel is returned as is.
+    kept target loses an inner vertex or is emptied. The residual keeps the
+    input's ids, and input that does not peel is returned as is.
     """
     if inst.kind != KIND_PATHS:
         raise ValidationError("the FPT solver handles path targets only")
@@ -73,7 +72,7 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     adj = g.adjacency()  # shared: read only
     deg = [0, *map(len, map(adj.__getitem__, g.vertices()))]  # live degree per id
     if min(deg[1:], default=2) > 1:  # nothing peels: the residual is the input
-        return PreprocessResult(g, inst.paths, frozenset(), inst.t, {v: v for v in g.vertices()})
+        return PreprocessResult(g, inst.paths, frozenset(), inst.t)
     order: list[int] = []  # the peeled vertices, in peel order
     when = [0] * len(deg)  # the step at which each id was peeled, 0 while live
     removed = 0  # edges peeled away
@@ -95,9 +94,7 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
             deg[v] -= 1
             if v > top:  # left for the scan to reach
                 break
-    new_to_old = dict(enumerate([v for v in g.vertices() if not when[v]], 1))
-    old_to_new = {v: i for i, v in new_to_old.items()}
-    nbrs = {i: {old_to_new[w] for w in adj[v] if not when[w]} for i, v in new_to_old.items()}
+    nbrs = {v: {w for w in adj[v] if not when[w]} for v in g.vertices() if not when[v]}
     residual = Graph(len(nbrs), sum(map(len, nbrs.values())) // 2, nbrs)
     if g.m - residual.m != removed:
         raise InvariantViolation("the residual does not keep exactly the unpeeled edges")
@@ -118,9 +115,8 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
         b = a + steps.count(0)
         if any(steps[a:b]):
             raise InvariantViolation("preprocessing peeled an inner target vertex")
-        new_paths.append(tuple(map(old_to_new.__getitem__, p[a:b])))
-    t = inst.t - len(forced)
-    return PreprocessResult(residual, tuple(new_paths), frozenset(forced), t, new_to_old)
+        new_paths.append(p[a:b])
+    return PreprocessResult(residual, tuple(new_paths), frozenset(forced), inst.t - len(forced))
 
 
 class ComponentData(NamedTuple):
@@ -236,23 +232,19 @@ def build_flower_branch(
 def _fill_component(cd: ComponentData, budget: int) -> set[int]:
     """Exactly `budget` vertices of the component hitting all its internal
     targets: the greedy optimum padded with the highest unused positions."""
-    positions = set(cd.greedy)
-    pad = len(cd.component.vertices)
-    while len(positions) < budget and pad >= 1:
-        positions.add(pad)
-        pad -= 1
+    positions = pad(cd.greedy, len(cd.component.vertices), budget)
     if len(positions) != budget:
         raise InvariantViolation(f"component cannot take a budget of {budget}")
     return {cd.component.vertices[p - 1] for p in positions}
 
 
-def _finish(inst: HitPathsInstance, chosen: set[int]) -> Solution:
+def _finish(inst: HitPathsInstance, chosen: frozenset[int]) -> Solution:
     if len(chosen) > inst.t:
         raise InvariantViolation("assembled solution exceeds the budget")
     cert = certificate_for(inst.paths, chosen)
     if cert is None:
         raise InvariantViolation("assembled solution misses a target")
-    return Solution("YES", frozenset(chosen), cert)
+    return Solution("YES", chosen, cert)
 
 
 def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solution:
@@ -274,7 +266,7 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
     if pre.t_remaining < 0:
         return Solution("NO")
     if g.n == 0:
-        return _finish(inst, set(pre.forced))
+        return _finish(inst, pre.forced)
     if c > 1:
         g = connect_components(g)
         s = high_degree_set(g)
@@ -296,7 +288,7 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
     for ci, cd in enumerate(comps):
         if cd.opt + 1 > len(cd.component.vertices):
             must_opt_mask |= 1 << ci
-    core_id = g.n + 1
+    core_id = inst.graph.n + 1  # above every residual id
 
     for s_mask in range(1 << len(s)):
         s_prime = {s[i] for i in range(len(s)) if s_mask >> i & 1}
@@ -315,10 +307,10 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
             if len(s_prime) == len(s):
                 # no core: every target S misses lies inside one
                 # positive-budget component, which its greedy fill hits
-                chosen_new = set(s_prime)
+                chosen = set(s_prime)
                 for ci, cd in enumerate(comps):
                     if budgets[ci] > 0:
-                        chosen_new |= _fill_component(cd, budgets[ci])
+                        chosen |= _fill_component(cd, budgets[ci])
             else:
                 branch = build_flower_branch(s, comps, budgets, s_prime, paths, core_id)
                 stats.flower_calls += 1
@@ -326,13 +318,11 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
                 if fsol.verdict != "YES":
                     c_mask = (c_mask + 1) | must_opt_mask  # the next superset
                     continue
-                chosen_new = set(s_prime) | set(fsol.chosen)
+                chosen = set(s_prime) | set(fsol.chosen)
             stats.branches_enumerated += c_mask + 1
             stats.solution_cost = cost
-            chosen = set(pre.forced) | {pre.new_to_old[v] for v in chosen_new}
-            sol = _finish(inst, chosen)
             _check_branch_bound(stats, k)
-            return sol
+            return _finish(inst, pre.forced | chosen)
         stats.branches_enumerated += 1 << nc
     _check_branch_bound(stats, k)
     return Solution("NO")
@@ -346,8 +336,8 @@ def _check_branch_bound(stats: SolveStats, k: int) -> None:
 def _solve_cycle(inst, pre: PreprocessResult, order: tuple[int, ...], paths) -> Solution:
     """Residual graph is a single cycle: solve its arcs exactly.
 
-    The walk lays it out as `order`, from vertex 1 to its smaller neighbour.
-    A target runs along that layout either forwards from its first vertex or
+    The walk lays it out as `order`, from its smallest vertex to its smaller
+    neighbour. A target runs along it forwards from its first vertex or
     backwards from its last, so its arc starts at one of its ends; its
     stretch of the layout, unrolled twice, must equal it either way round.
     """
@@ -365,5 +355,4 @@ def _solve_cycle(inst, pre: PreprocessResult, order: tuple[int, ...], paths) -> 
     size, pts = hit_paths_in_cycle(len(order), arcs)
     if size > pre.t_remaining:
         return Solution("NO")
-    chosen = set(pre.forced) | {pre.new_to_old[order[q - 1]] for q in pts}
-    return _finish(inst, chosen)
+    return _finish(inst, pre.forced | {order[q - 1] for q in pts})

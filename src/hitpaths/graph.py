@@ -1,4 +1,5 @@
-"""Simple undirected graphs over dense 1-based vertex ids, as neighbour sets.
+"""Simple undirected graphs as neighbour sets keyed by ascending vertex ids:
+1..n for a built graph, the unpeeled input ids for fpt.preprocess's residual.
 
 Provides the structural measures and rewriting operations the solvers rely
 on: cyclomatic number, the set of high-degree vertices, the decomposition of
@@ -9,14 +10,16 @@ deterministic bridging of disconnected inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, KeysView, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, NotAPath, ValidationError
 
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 1..n with m edges; build validates."""
+    """Simple undirected graph of n vertices and m edges; build validates.
+    A built graph has the ids 1..n, a residual keeps the input's ids, and
+    each constructor inserts the ids in ascending order."""
 
     n: int
     m: int
@@ -46,8 +49,9 @@ class Graph:
         """The (u, w) pairs with u < w, derived from the neighbour sets."""
         return frozenset((u, w) for u, ns in self.neighbours.items() for w in ns if u < w)
 
-    def vertices(self) -> range:
-        return range(1, self.n + 1)
+    def vertices(self) -> KeysView[int]:
+        """The vertex ids, ascending."""
+        return self.neighbours.keys()
 
     def adjacency(self) -> dict[int, set[int]]:
         """The neighbour sets, shared by every caller: none may mutate them."""
@@ -96,7 +100,7 @@ class PathComponent(NamedTuple):
 def path_in(adj: dict[int, set[int]], seq: Sequence[int]) -> bool:
     """Whether seq is a simple path of the graph with adjacency map adj. The
     steps are checked in bulk and in order, so a vertex is looked up only
-    once the step into it is known to be an edge (keys are exactly 1..n)."""
+    once the step into it is known to be an edge (the keys are the ids)."""
     return (
         0 < len(seq) == len(set(seq))
         and seq[0] in adj

@@ -13,6 +13,7 @@ cycle unrolled twice, in O(L + |arcs|) overall. A cycle arc is a plain
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 
 from .errors import ValidationError
 
@@ -54,6 +55,13 @@ def chain(r: list[int], p: int, stop: int) -> list[int]:
         picked.append(p)
         p = r[p + 1]
     return picked
+
+
+def pad(picked, length: int, budget: int) -> set[int]:
+    """picked plus the highest unused positions of 1..length, up to budget in all."""
+    positions = set(picked)
+    free = (p for p in range(length, 0, -1) if p not in positions)
+    return positions.union(islice(free, max(budget - len(positions), 0)))
 
 
 def stab_intervals(length: int, intervals) -> tuple[int, frozenset[int]]:

@@ -1,11 +1,14 @@
 """Answer ledger: the solver's answer on a fixed corpus, one line per instance.
 
 Each line holds the instance name, the verdict, the SolveStats and a digest
-of the chosen set and certificate. The corpus is agreement seeds 0-1,499,
-scaling_instance(2..4), the first 40 cases of each benchmark workload and
-300 disconnected inputs.
+of the chosen set and certificate. A solve that raises is recorded as
+{"name": ..., "raised": <exception class name>} instead, so that --check
+names every such instance rather than stopping at the first traceback. The
+corpus is agreement seeds 0-1,499, scaling_instance(2..4), the first 40
+cases of each benchmark workload and 300 disconnected inputs.
 
-    python tests/ledger.py           # rewrite tests/ledger.json
+    python tests/ledger.py           # rewrite tests/ledger.json (refused
+                                     # while some solve raises)
     python tests/ledger.py --check   # exit 1 and name every changed instance
 
 Not collected by pytest (the file name does not start with test_).
@@ -54,7 +57,10 @@ def corpus():
 
 def entry(name, inst) -> dict:
     stats = SolveStats()
-    sol = solve(inst, stats)
+    try:
+        sol = solve(inst, stats)
+    except Exception as exc:  # recorded as the answer, never written
+        return {"name": name, "raised": type(exc).__name__}
     answer = json.dumps([sorted(sol.chosen), sol.certificate])
     return {
         "name": name,
@@ -72,6 +78,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     entries = [entry(name, inst) for name, inst in corpus()]
     if not args.check:
+        raised = [e for e in entries if "raised" in e]
+        for e in raised:
+            print(f"raised: {e['name']}: {e['raised']}")
+        if raised:
+            print(f"{len(raised)} solves raised; the ledger is left as it was")
+            return 1
         LEDGER.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
         print(f"wrote {len(entries)} entries to {LEDGER.name}")
         return 0

@@ -96,6 +96,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "flower core id from the residual's vertex count",
+        "fpt.py",
+        "    core_id = inst.graph.n + 1  # above every residual id\n",
+        "    core_id = g.n + 1\n",
+        (
+            "tests/test_fpt.py::test_residual_keeps_input_ids_through_a_flower_branch",
+            "tests/test_fpt.py::test_branch_scan_matches_full_mask_reference",
+        ),
+    ),
+    Mutant(
         "2-SAT encoding drops the chain clauses",
         "mvsat.py",
         "    out += [(-bvar[hi], bvar[lo]) for lo, hi in zip(named, named[1:]) if lo[0] == hi[0]]\n",

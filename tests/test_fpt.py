@@ -89,9 +89,28 @@ def test_preprocess_shaves_target_tails():
     # pendant 4 hangs off a triangle; the target (4, 3) shrinks to (3)
     g = Graph.build(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
     pre = preprocess(make_instance(g, [(4, 3)], 1))
-    assert pre.graph.n == 3
-    old_to_new = {v: i for i, v in pre.new_to_old.items()}
-    assert pre.paths == ((old_to_new[3],),)
+    assert pre.graph.n == 3 and list(pre.graph.vertices()) == [1, 2, 3]
+    assert pre.paths == ((3,),)
+
+
+def test_residual_keeps_input_ids_through_a_flower_branch():
+    # the chain 1-2 hangs off the core 3 of two petals 4-5-6 and 7-8-9; the
+    # residual is 3..9, ids above its 7 vertices, and (1, 2, 3, 4) keeps (3, 4)
+    edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3), (3, 7), (7, 8), (8, 9), (9, 3)]
+    inst = make_instance(Graph.build(9, edges), [(5,), (8,), (1, 2, 3, 4)], 3)
+    pre = preprocess(inst)
+    assert list(pre.graph.vertices()) == [3, 4, 5, 6, 7, 8, 9] and pre.graph.n == 7
+    assert pre.paths == ((5,), (8,), inst.paths[2][2:])
+    assert pre.forced == frozenset() and pre.t_remaining == 3
+    with pytest.raises(ValidationError, match="1..n"):  # not an instance graph
+        make_instance(pre.graph, [], 0)
+    stats = SolveStats()
+    sol = solve(inst, stats)
+    check_yes(inst, sol)
+    assert stats.flower_calls >= 1 and sol.chosen == frozenset({4, 5, 8})
+    assert sol.certificate == (5, 8, 4)
+    assert all(c in sol.chosen and c in p for c, p in zip(sol.certificate, inst.paths))
+    assert solve(make_instance(inst.graph, inst.paths, 2)).verdict == "NO"
 
 
 def test_component_budgets_on_c4_chord():
@@ -198,9 +217,8 @@ def test_preprocess_preserves_oracle_verdict():
         if pre.t_remaining < 0:
             assert before == "NO"
             continue
-        system = SetSystem.build(
-            max(pre.graph.n, 1), [frozenset(p) for p in pre.paths]
-        )
+        # the residual keeps the input's ids
+        system = SetSystem.build(inst.graph.n, [frozenset(p) for p in pre.paths])
         size, _ = exact_min_hitting_set(system, pre.t_remaining)
         after = "YES" if size is not None else "NO"
         assert before == after
@@ -239,18 +257,10 @@ def quadratic_preprocess(inst):
             adj[w].discard(v)
         del adj[v]
         alive.discard(v)
-    new_to_old = {i + 1: v for i, v in enumerate(sorted(alive))}
-    old_to_new = {v: i for i, v in new_to_old.items()}
-    edges = {
-        (min(old_to_new[u], old_to_new[w]), max(old_to_new[u], old_to_new[w]))
-        for u in alive
-        for w in adj[u]
-        if u < w
-    }
-    new_paths = tuple(tuple(old_to_new[v] for v in p) for p in paths)
-    return PreprocessResult(
-        Graph.build(len(alive), edges), new_paths, frozenset(forced), t, new_to_old
-    )
+    # the residual keeps the input's ids: build on 1..n, then drop the peeled
+    whole = Graph.build(g.n, {(u, w) for u in alive for w in adj[u] if u < w})
+    residual = Graph(len(alive), whole.m, {v: whole.neighbours[v] for v in sorted(alive)})
+    return PreprocessResult(residual, tuple(map(tuple, paths)), frozenset(forced), t)
 
 
 def random_peel_instance(rng):
@@ -405,7 +415,7 @@ def test_preprocess_peels_smallest_id_first():
     pre = preprocess(inst)
     assert pre == quadratic_preprocess(inst)
     assert pre.forced == frozenset({3}) and pre.t_remaining == 1
-    assert [tuple(map(pre.new_to_old.__getitem__, p)) for p in pre.paths] == [(4, 5)]
+    assert pre.paths == ((4, 5),)
 
 
 def test_edgeless_instance_does_not_hang():
@@ -485,14 +495,18 @@ def test_solve_leaves_adjacency_untouched():
 
 def min_degree_two_instances(rng, count):
     """Random residuals (min degree >= 2, at times disconnected) with the
-    trimmed targets, rebuilt as instances of their own."""
+    trimmed targets, rebuilt as instances of their own: a residual keeps the
+    input's ids, so its vertices are renumbered 1..n in order."""
     insts = [scaling_instance(3), make_instance(C4_CHORD, [(2,), (4,), (1, 3)], 3)]
     two_triangles = Graph.build(6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)])
     insts.append(make_instance(two_triangles, [(1, 2), (6,)], 2))
     while len(insts) < count:
         pre = preprocess(random_peel_instance(rng))
         if pre.graph.n:
-            insts.append(make_instance(pre.graph, pre.paths, rng.randint(0, pre.graph.n)))
+            rank = {v: i for i, v in enumerate(pre.graph.vertices(), 1)}
+            g = Graph.build(len(rank), [(rank[u], rank[w]) for u, w in pre.graph.edges])
+            paths = [tuple(map(rank.__getitem__, p)) for p in pre.paths]
+            insts.append(make_instance(g, paths, rng.randint(0, g.n)))
     return insts
 
 
@@ -622,7 +636,7 @@ def test_flower_branch_matches_rebuilding_reference():
             a, b = rng.sample(s, 2)
             paths.insert(rng.randint(0, len(paths)), (a, rng.choice(inner), b))
         comps = component_budgets(path_components(g, set(s)), s, paths)
-        core_id = g.n + 1
+        core_id = inst.graph.n + 1  # the residual keeps the input's ids
         for s_mask in range((1 << len(s)) - 1):  # S' must leave a core
             s_prime = {v for i, v in enumerate(s) if s_mask >> i & 1}
             branches = [
@@ -688,8 +702,9 @@ def random_walk_targets(rng, g, count):
     G - S through S and come back into it."""
     adj = g.adjacency()
     targets = []
+    vertices = list(g.vertices())  # a residual's ids may skip
     for _ in range(count):
-        walk = [rng.randint(1, g.n)]
+        walk = [rng.choice(vertices)]
         for _ in range(rng.randint(0, g.n)):
             free = sorted(adj[walk[-1]].difference(walk))
             if not free:
@@ -765,6 +780,7 @@ def scanning_solve(inst):
     for ci, cd in enumerate(comps):
         if cd.opt + 1 > len(cd.component.vertices):
             must_opt_mask |= 1 << ci
+    core_id = inst.graph.n + 1  # above every residual id
     for s_mask in range(1 << len(s)):
         s_prime = {s[i] for i in range(len(s)) if s_mask >> i & 1}
         base_cost = len(s_prime) + total_opt + nc
@@ -784,13 +800,13 @@ def scanning_solve(inst):
                         chosen |= _fill_component(cd, budget)
             else:
                 stats.flower_calls += 1
-                branch = build_flower_branch(s, comps, budgets, s_prime, pre.paths, g.n + 1)
+                branch = build_flower_branch(s, comps, budgets, s_prime, pre.paths, core_id)
                 fsol = solve_flower(branch)
                 if fsol.verdict != "YES":
                     continue
                 chosen = s_prime | set(fsol.chosen)
             stats.solution_cost = cost
-            return stats, frozenset(pre.forced | {pre.new_to_old[v] for v in chosen})
+            return stats, pre.forced | chosen
     return stats, None
 
 

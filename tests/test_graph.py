@@ -100,7 +100,11 @@ def test_connect_components_matches_a_rebuild_with_the_bridges():
             comps = g.components()
             bridges = [(comps[0][0], c[0]) for c in comps[1:]]
             got = connect_components(g)
-            assert got == Graph.build(g.n, [*g.edges, *bridges])
+            # a residual keeps the input's ids: build on 1..n, keep g's ids
+            whole = Graph.build(inst.graph.n, [*g.edges, *bridges])
+            kept = {v: whole.neighbours[v] for v in g.vertices()}
+            assert got == Graph(g.n, whole.m, kept)
+            assert list(got.vertices()) == list(g.vertices())
             bridged += bool(bridges)
     assert bridged > 400, bridged
     g = Graph.build(3, [(1, 2)])

@@ -8,6 +8,7 @@ from hitpaths import (
     hit_paths_in_cycle,
     stab_intervals,
 )
+from hitpaths.treecycle import pad
 
 from conftest import brute_min_hitting, covers
 
@@ -20,6 +21,15 @@ def test_stab_examples():
     assert stab_intervals(5, []) == (0, frozenset())
     assert stab_intervals(5, [Interval(1, 2), Interval(2, 3)]) == (1, frozenset({2}))
     assert stab_intervals(5, [Interval(1, 2), Interval(4, 5)]) == (2, frozenset({2, 5}))
+
+
+def test_pad_adds_the_highest_unused_positions():
+    assert pad({2}, 5, 3) == {2, 5, 4}
+    assert pad([5, 3], 5, 4) == {5, 4, 3, 2}
+    assert pad(frozenset(), 2, 5) == {1, 2}  # runs out of positions
+    assert pad({1, 2, 3}, 5, 2) == {1, 2, 3}  # already past the budget
+    picked = {4}
+    assert pad(picked, 6, 2) == {4, 6} and picked == {4}
 
 
 def test_stab_rejects_out_of_range():
