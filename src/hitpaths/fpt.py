@@ -256,7 +256,9 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
     s = high_degree_set(g)
     walk = path_components(g, set(s))
     # k = m - n + c: c counts the walk's cycles and the components of the
-    # skeleton on S, whose edges are those inside S and one per path
+    # skeleton on S, whose edges are those inside S and one per path; the
+    # walk checks that every vertex outside S has degree 2, so a component
+    # with no attachment is a cycle
     index = {v: i for i, v in enumerate(s, 1)}
     ends = [(u, w) for u in s for w in g.neighbours[u] if w in index]
     ends += [(p.attach_left, p.attach_right) for p in walk if p.attach_left is not None]

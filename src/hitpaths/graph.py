@@ -84,12 +84,11 @@ class Graph:
 
 
 class PathComponent(NamedTuple):
-    """A path-shaped component of G - S, laid out left to right, or a
-    cycle of G that S misses.
+    """A path component of G - S, laid out left to right, or a cycle of G
+    that S misses.
 
     attach_left / attach_right are the S-vertices adjacent to the first and
-    last vertex; they are None when the corresponding endpoint has no
-    neighbor in S (always for a cycle, else only in minimum degree < 2).
+    last vertex; they are None exactly for a cycle of G that S misses.
     """
 
     vertices: tuple[int, ...]
@@ -120,60 +119,46 @@ def high_degree_set(g: Graph) -> list[int]:
 
 
 def path_components(g: Graph, s: set[int]) -> list[PathComponent]:
-    """Components of g - s, each required to be an induced path or a cycle
-    of g with no neighbour in s.
+    """Components of g - s. Every vertex outside s must have degree 2 in g,
+    else NotAPath is raised before any walk (solve's check that the peel
+    left minimum degree 2); each component is then an induced path with
+    both ends attached to s, or a cycle of g that s misses.
 
-    Orientation: the endpoint with the smaller id comes first; a cycle runs
-    from its smallest vertex towards that vertex's smaller neighbour.
-    Components are ordered by their smallest contained id. Raises NotAPath
-    otherwise, which signals a precondition violation by the caller (s must
-    contain every vertex of degree != 2).
-
-    Each component is walked once, from its smallest vertex outwards along
-    neighbours outside s, the smaller one first; a branching vertex or a
-    return to a visited vertex other than the start (which closes a cycle)
-    stops the walk. A vertex of degree two steps to the neighbour it was not
-    entered from, without filtering its neighbour set.
+    Orientation: the endpoint with the smaller id comes first (a lone vertex
+    has its smaller neighbour on the left); a cycle runs from its smallest
+    vertex towards that vertex's smaller neighbour. Components are ordered
+    by their smallest id. Each is walked from its smallest vertex, the
+    smaller neighbour first, every step taking the neighbour it did not come
+    from, until the walk reaches s or comes back round.
     """
     adj = g.adjacency()
+    for v in g.vertices():
+        if v not in s and len(adj[v]) != 2:
+            raise NotAPath(f"vertex {v} outside s has degree {len(adj[v])}, not 2")
     seen: set[int] = set()
     comps: list[PathComponent] = []
     for v in g.vertices():
         if v in s or v in seen:
             continue
-        seen.add(v)
-        ends = sorted(w for w in adj[v] if w not in s)
-        if len(ends) > 2:
-            raise NotAPath(f"component containing {v} is not an induced path")
-        halves: list[list[int]] = [[], []]
-        for half, w in zip(halves, ends):
-            prev = v
-            while w is not None:
-                ns = adj[w]
-                if len(ns) == 2:
-                    a, b = ns
-                    nxt = b if a == prev else a
-                    ahead = () if nxt in s else (nxt,)
-                else:
-                    ahead = [x for x in ns if x not in s and x != prev]
-                if w in seen or len(ahead) > 1:
-                    # back at v: a cycle of g - s, which must not touch s
-                    if w != v or any(len(adj[x]) != 2 for x in (v, *half)):
-                        raise NotAPath(f"component containing {v} is not an induced path")
-                    break
-                seen.add(w)
+        halves = []
+        for w in sorted(adj[v]):
+            prev, half = v, []
+            while w not in s and w != v:
                 half.append(w)
-                prev, w = w, (ahead[0] if ahead else None)
-            if w == v:  # the first half went round: no second half
+                x, y = adj[w]
+                prev, w = w, (y if x == prev else x)
+            seen.update(half)
+            halves.append((half, w))
+            if w == v:  # back round: a cycle of g that s misses
+                comps.append(PathComponent((v, *half), None, None))
                 break
-        order = halves[1][::-1] + [v] + halves[0]
-        if order[-1] < order[0]:
-            order.reverse()
-        left = min((w for w in adj[order[0]] if w in s), default=None)
-        # a lone vertex reports its smallest and largest neighbour in s
-        pick = max if len(order) == 1 else min
-        right = pick((w for w in adj[order[-1]] if w in s), default=None)
-        comps.append(PathComponent(tuple(order), left, right))
+        else:  # a path: each half ends at the s-vertex it attaches to
+            (left, a), (right, b) = halves
+            order = [*reversed(left), v, *right]
+            if order[-1] < order[0]:
+                order.reverse()
+                a, b = b, a
+            comps.append(PathComponent(tuple(order), a, b))
     return comps
 
 

@@ -7,11 +7,13 @@ named test on an unmutated copy of src/ (a test that fails anyway kills
 nothing), then, for each mutant, applies it to a fresh temporary copy of
 src/ and runs its tests against that copy, printing the time each took.
 
-    python tests/mutants.py   # exit 1 if a mutant survives or is stale
+    python tests/mutants.py   # exit 1 if a mutant survives, is stale or times out
 
 A mutant is stale when its old text does not occur exactly once in its
-file. A mutant that survives is a finding about the tests, not a line to
-delete from the list.
+file. Each pytest run, the baseline included, is killed after TIMEOUT_S
+seconds, so a mutant that loops is printed by name as a timeout. A mutant
+that survives is a finding about the tests, not a line to delete from the
+list.
 
 Not collected by pytest (the file name does not start with test_).
 """
@@ -26,9 +28,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120  # per pytest run; a run of a mutant's tests takes a few seconds
 
 
 class Mutant(NamedTuple):
@@ -147,6 +150,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "walk skips its degree check",
+        "graph.py",
+        "        if v not in s and len(adj[v]) != 2:\n",
+        "        if False:\n",
+        (
+            "tests/test_graph.py::test_path_components_rejects_a_vertex_outside_s_of_degree_other_than_2",
+            "tests/test_graph.py::test_path_components_matches_reference_on_residuals",
+        ),
+    ),
+    Mutant(
+        "cycle walked towards the larger neighbour",
+        "graph.py",
+        "sorted(adj[v])",
+        "sorted(adj[v], reverse=True)",
+        (
+            "tests/test_graph.py::test_path_components_rejects_cycles_and_branching",
+            "tests/test_graph.py::test_path_components_matches_reference_on_residuals",
+        ),
+    ),
+    Mutant(
         "certificate takes the largest chosen vertex",
         "instance_io.py",
         "tuple(map(min, map(cs.intersection, paths)))",
@@ -198,13 +221,19 @@ MUTANTS = (
 )
 
 
-def run_tests(src: Path, tests) -> tuple[int, list[str]]:
+def run_tests(src: Path, tests) -> Optional[tuple[int, list[str]]]:
     """pytest's exit code and the ids of the tests that passed, with the
-    package imported from src."""
+    package imported from src; None if the run is still going after
+    TIMEOUT_S, when it is killed."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "pytest", "-q", "-rp", "-p", "no:cacheprovider", *tests]
-    done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    try:
+        done = subprocess.run(
+            cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return None
     return done.returncode, re.findall(r"^PASSED (\S+)", done.stdout, re.M)
 
 
@@ -217,9 +246,12 @@ def copy_src(tmp: str) -> Path:
 def main() -> int:
     named = sorted({t for m in MUTANTS for t in m.tests})
     with tempfile.TemporaryDirectory() as tmp:
-        code, _ = run_tests(copy_src(tmp), named)
-    if code:
-        print(f"the named tests do not all pass on the unmutated source (pytest exit {code})")
+        baseline = run_tests(copy_src(tmp), named)
+    if baseline is None:
+        print(f"timeout   the named tests on the unmutated source ran over {TIMEOUT_S} s")
+        return 1
+    if baseline[0]:
+        print(f"the named tests do not all pass on the unmutated source (pytest exit {baseline[0]})")
         return 1
     failures = 0
     for m in MUTANTS:
@@ -233,13 +265,14 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as tmp:
             target = copy_src(tmp) / "hitpaths" / m.file
             target.write_text(path.read_text().replace(m.old, m.new))
-            _, passed = run_tests(target.parent.parent, m.tests)
-        verdict = "SURVIVED" if passed else "killed"
+            result = run_tests(target.parent.parent, m.tests)
+        passed = [] if result is None else result[1]
+        verdict = "timeout" if result is None else "SURVIVED" if passed else "killed"
         print(f"{verdict:9} {time.perf_counter() - t0:5.1f} s  {m.name}", flush=True)
         for test in passed:
             print(f"          passes on the mutant: {test}")
-        failures += bool(passed)
-    print(f"{len(MUTANTS)} mutants, {failures} survived or stale")
+        failures += result is None or bool(passed)
+    print(f"{len(MUTANTS)} mutants, {failures} survived, stale or timed out")
     return 1 if failures else 0
 
 

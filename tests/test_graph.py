@@ -212,18 +212,31 @@ def test_path_components_matches_reference_on_residuals():
         cycles[min(rings, 2), bool(s)] += 1
     # one or more cycles beside a part with S, and two or more cycles alone
     assert cycles[1, True] + cycles[2, True] > 100 and cycles[2, False] > 100, cycles
-    # subsets of S, and S with extra vertices, reach the NotAPath branches
-    raised = 0
+    # random sets s: the walk raises exactly when a vertex outside s does
+    # not have degree 2, and otherwise matches the reference
+    held = Counter()
     for _ in range(1500):
         k = rng.randint(1, 4)
         cfg = GeneratorConfig(seed=rng.randrange(10**9), k=k, n=rng.randint(k + 3, 30),
                               num_paths=0)
         g = connect_components(preprocess(gen_random_instance(cfg)).graph)
         s = {v for v in g.vertices() if rng.random() < 0.3}
-        want = outcome(components_then_walk, g, s)
-        assert outcome(path_components, g, s) == want
-        raised += want is NotAPath
-    assert raised > 100
+        adj = g.adjacency()
+        holds = all(len(adj[v]) == 2 for v in g.vertices() if v not in s)
+        got = outcome(path_components, g, s)
+        assert got == (components_then_walk(g, s) if holds else NotAPath)
+        held[holds] += 1
+    assert held[True] > 100 and held[False] > 100, held
+
+
+def test_path_components_rejects_a_vertex_outside_s_of_degree_other_than_2():
+    # a dangling path would come back with no attachment, like a cycle
+    with pytest.raises(NotAPath):
+        path_components(Graph.build(3, [(1, 2), (2, 3)]), set())
+    # in K4, 1 and 4 have degree 3 although they form a path of G - {2, 3}
+    k4 = Graph.build(4, [(u, v) for u in range(1, 5) for v in range(u + 1, 5)])
+    with pytest.raises(NotAPath):
+        path_components(k4, {2, 3})
 
 
 def test_path_components_rejects_cycles_and_branching():
