@@ -131,22 +131,19 @@ def component_budgets(comps: list[PathComponent], s, paths) -> list[ComponentDat
     their piercing optimum.
 
     Budget candidates for the branching step are {opt, opt + 1}. The one
-    walk over the targets also records which targets cover each component
-    whole, for build_flower_branch, which must be given the same `paths`.
+    walk over the targets reads each vertex's component and 1-based position
+    from one map and records which targets cover each component whole, for
+    build_flower_branch, which must be given the same `paths`.
     """
     s = set(s)
-    comp_of = {}  # vertex -> component index
-    where = {}  # vertex -> 1-based position in its component
-    for ci, comp in enumerate(comps):
-        comp_of.update(dict.fromkeys(comp.vertices, ci))
-        where.update(zip(comp.vertices, range(1, len(comp.vertices) + 1)))
+    at = {v: (ci, q) for ci, comp in enumerate(comps) for q, v in enumerate(comp.vertices, 1)}
     spans: list[list[tuple[int, int]]] = [[] for _ in comps]
     covered_by: list[set[int]] = [set() for _ in comps]
     for i, p in enumerate(paths):
         if s.isdisjoint(p):
             # a target inside an induced path runs from one end to the other
-            ci = comp_of[p[0]]
-            a, b = where[p[0]], where[p[-1]]
+            ci, a = at[p[0]]
+            b = at[p[-1]][1]
             spans[ci].append((a, b) if a <= b else (b, a))
             if len(p) == len(comps[ci].vertices):
                 covered_by[ci].add(i)
@@ -157,7 +154,7 @@ def component_budgets(comps: list[PathComponent], s, paths) -> list[ComponentDat
         a = marks.index(False)
         while a < len(p):
             b = marks.index(True, a)
-            ci = comp_of[p[a]]
+            ci = at[p[a]][0]
             inside[ci] = inside.get(ci, 0) + b - a
             a = marks.index(False, b)
         for ci, count in inside.items():

@@ -50,7 +50,8 @@ def make_instance(graph: Graph, paths, t: int, kind: str = KIND_PATHS) -> HitPat
     """Validate and freeze an instance. Duplicate targets are retained."""
     if kind not in (KIND_PATHS, KIND_SUBGRAPHS):
         raise ValidationError(f"unknown instance kind {kind!r}")
-    if graph.n and next(reversed(graph.neighbours)) != graph.n:  # the largest id: ids ascend
+    ids = graph.vertices()  # ascending, so n ids from 1 to n are exactly 1..n
+    if len(ids) != graph.n or (ids and (next(iter(ids)), next(reversed(ids))) != (1, graph.n)):
         raise ValidationError("vertex ids are not exactly 1..n")
     if not (0 <= t <= graph.n):
         raise ValidationError(f"budget t={t} out of range 0..{graph.n}")

@@ -7,11 +7,13 @@ named test on an unmutated copy of src/ (a test that fails anyway kills
 nothing), then, for each mutant, applies it to a fresh temporary copy of
 src/ and runs its tests against that copy, printing the time each took.
 
-    python tests/mutants.py   # exit 1 if a mutant survives, is stale or times out
+    python tests/mutants.py   # exit 1 if a mutant survives, is stale or hits a bound
 
 A mutant is stale when its old text does not occur exactly once in its
 file. Each pytest run, the baseline included, is killed after TIMEOUT_S
-seconds, so a mutant that loops is printed by name as a timeout. A mutant
+seconds and has its address space capped at MEMORY_MB, so a mutant that
+loops is printed by name as a timeout, or as a memory failure as soon as
+its allocations pass the cap; either makes the script exit 1. A mutant
 that survives is a finding about the tests, not a line to delete from the
 list.
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
@@ -32,6 +35,10 @@ from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 120  # per pytest run; a run of a mutant's tests takes a few seconds
+# per pytest run: the baseline run of every named test peaks at 55 MB of
+# address space (Python 3.11, Linux); the rest is margin for other Pythons
+# and platforms. A walk that never stops on a cycle hits it in about 13 s.
+MEMORY_MB = 512
 
 
 class Mutant(NamedTuple):
@@ -140,6 +147,56 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "a run through s counts only its last stretch of a component",
+        "fpt.py",
+        "            inside[ci] = inside.get(ci, 0) + b - a\n",
+        "            inside[ci] = b - a\n",
+        (
+            "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
+            "tests/test_fpt.py::test_component_budgets_matches_classifying_reference",
+        ),
+    ),
+    Mutant(
+        "an internal target never covers its component",
+        "fpt.py",
+        "            if len(p) == len(comps[ci].vertices):\n",
+        "            if False:\n",
+        (
+            "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
+            "tests/test_fpt.py::test_component_budgets_matches_classifying_reference",
+        ),
+    ),
+    Mutant(
+        "an internal target's span keeps its ends in target order",
+        "fpt.py",
+        "(a, b) if a <= b else (b, a)",
+        "(a, b)",
+        (
+            "tests/test_fpt.py::test_solver_matches_oracle_random",
+            "tests/test_fpt.py::test_component_budgets_matches_classifying_reference",
+        ),
+    ),
+    Mutant(
+        "skeleton drops the edges inside S",
+        "fpt.py",
+        "    ends = [(u, w) for u in s for w in g.neighbours[u] if w in index]\n",
+        "    ends = []\n",
+        (
+            "tests/test_fpt.py::test_k_and_verdict_come_off_the_walk",
+            "tests/test_fpt.py::test_connected_input_runs_one_component_search",
+        ),
+    ),
+    Mutant(
+        "k's component count misses the walk's cycles",
+        "fpt.py",
+        "    c = len(skeleton.components()) + sum(p.attach_left is None for p in walk)\n",
+        "    c = len(skeleton.components())\n",
+        (
+            "tests/test_fpt.py::test_solve_disconnected_graph",
+            "tests/test_fpt.py::test_k_and_verdict_come_off_the_walk",
+        ),
+    ),
+    Mutant(
         "one-sided adjacency",
         "graph.py",
         "            adj[v].add(u)\n",
@@ -221,20 +278,33 @@ MUTANTS = (
 )
 
 
-def run_tests(src: Path, tests) -> Optional[tuple[int, list[str]]]:
-    """pytest's exit code and the ids of the tests that passed, with the
-    package imported from src; None if the run is still going after
-    TIMEOUT_S, when it is killed."""
+def cap_memory() -> None:
+    """Cap the address space of the pytest child before it starts."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_MB << 20, MEMORY_MB << 20))
+
+
+def run_tests(src: Path, tests) -> tuple[Optional[str], int, list[str]]:
+    """The bound the run hit ("timeout" or "memory", else None), pytest's
+    exit code and the ids of the tests that passed, with the package
+    imported from src. A run still going after TIMEOUT_S is killed; an
+    allocation past MEMORY_MB raises MemoryError in the run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "pytest", "-q", "-rp", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(
-            cmd, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+            cmd,
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=TIMEOUT_S,
+            preexec_fn=cap_memory,
         )
     except subprocess.TimeoutExpired:
-        return None
-    return done.returncode, re.findall(r"^PASSED (\S+)", done.stdout, re.M)
+        return "timeout", -1, []
+    bound = "memory" if "MemoryError" in done.stdout + done.stderr else None
+    return bound, done.returncode, re.findall(r"^PASSED (\S+)", done.stdout, re.M)
 
 
 def copy_src(tmp: str) -> Path:
@@ -246,12 +316,12 @@ def copy_src(tmp: str) -> Path:
 def main() -> int:
     named = sorted({t for m in MUTANTS for t in m.tests})
     with tempfile.TemporaryDirectory() as tmp:
-        baseline = run_tests(copy_src(tmp), named)
-    if baseline is None:
-        print(f"timeout   the named tests on the unmutated source ran over {TIMEOUT_S} s")
+        bound, code, _ = run_tests(copy_src(tmp), named)
+    if bound:
+        print(f"{bound:9} the named tests on the unmutated source ({TIMEOUT_S} s, {MEMORY_MB} MB)")
         return 1
-    if baseline[0]:
-        print(f"the named tests do not all pass on the unmutated source (pytest exit {baseline[0]})")
+    if code:
+        print(f"the named tests do not all pass on the unmutated source (pytest exit {code})")
         return 1
     failures = 0
     for m in MUTANTS:
@@ -265,14 +335,13 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as tmp:
             target = copy_src(tmp) / "hitpaths" / m.file
             target.write_text(path.read_text().replace(m.old, m.new))
-            result = run_tests(target.parent.parent, m.tests)
-        passed = [] if result is None else result[1]
-        verdict = "timeout" if result is None else "SURVIVED" if passed else "killed"
+            bound, _, passed = run_tests(target.parent.parent, m.tests)
+        verdict = bound or ("SURVIVED" if passed else "killed")
         print(f"{verdict:9} {time.perf_counter() - t0:5.1f} s  {m.name}", flush=True)
         for test in passed:
             print(f"          passes on the mutant: {test}")
-        failures += result is None or bool(passed)
-    print(f"{len(MUTANTS)} mutants, {failures} survived, stale or timed out")
+        failures += verdict != "killed"
+    print(f"{len(MUTANTS)} mutants, {failures} survived, stale or hit a bound")
     return 1 if failures else 0
 
 

@@ -310,3 +310,14 @@ def test_target_checks_match_the_set_building_reference():
         assert certificate_for(inst.paths, chosen) == certificate_for_sets(inst.paths, chosen)
         full = range(1, cfg.n + 1)
         assert certificate_for(inst.paths, full) == certificate_for_sets(inst.paths, full)
+
+
+def test_make_instance_rejects_ids_other_than_1_to_n():
+    # the last id is n, but id 1 is missing: solve used to fail in preprocess
+    with pytest.raises(ValidationError, match="1..n"):
+        make_instance(Graph(3, 1, {2: {3}, 3: {2}}), [(2, 3)], 1)
+    with pytest.raises(ValidationError, match="1..n"):  # first and last fit, one id short
+        make_instance(Graph(3, 1, {1: {3}, 3: {1}}), [(1, 3)], 1)
+    with pytest.raises(ValidationError, match="1..n"):  # an id but n = 0
+        make_instance(Graph(0, 0, {1: set()}), [], 0)
+    assert make_instance(Graph(0, 0, {}), [], 0).graph.n == 0
