@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvariantViolation, ValidationError
 from .fpt import SolveStats, solve
@@ -59,8 +59,7 @@ def scaling_instance(k: int) -> HitPathsInstance:
     return make_instance(graph, paths, t, KIND_PATHS)
 
 
-@dataclass
-class ScalingReport:
+class ScalingReport(NamedTuple):
     branch_counts: dict[int, int]
     median_times: dict[int, float]
     branch_ratio: float
@@ -93,8 +92,7 @@ def run_scaling() -> ScalingReport:
     )
 
 
-@dataclass
-class AgreementReport:
+class AgreementReport(NamedTuple):
     total: int
     agreements: int
     mismatches: list[int]  # offending seeds

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvariantViolation, ValidationError
 from .instance_io import Solution
@@ -22,8 +21,7 @@ from .mvsat import GE, LE, SignedFormula, SignedLiteral, solve_tors2sat
 from .treecycle import Interval, chain, pad, reach
 
 
-@dataclass(frozen=True)
-class FlowerInstance:
+class FlowerInstance(NamedTuple):
     core: int
     petals: tuple[tuple[int, ...], ...]
     budgets: tuple[int, ...]

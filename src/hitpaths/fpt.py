@@ -12,7 +12,7 @@ answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
 from .errors import FlowerShapeViolation, InvariantViolation, ValidationError
@@ -35,15 +35,19 @@ class PreprocessResult(NamedTuple):
     t_remaining: int  # may be negative
 
 
-@dataclass
-class SolveStats:
-    k: int = 0
-    high_degree: int = 0
-    components: int = 0
-    branches_enumerated: int = 0
-    branches_after_filter: int = 0
-    flower_calls: int = 0
-    solution_cost: Optional[int] = None
+class SolveStats(SimpleNamespace):
+    """The one mutable record: a solve's counters, read with vars()."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            k=0,
+            high_degree=0,
+            components=0,
+            branches_enumerated=0,
+            branches_after_filter=0,
+            flower_calls=0,
+            solution_cost=None,
+        )
 
 
 def preprocess(inst: HitPathsInstance) -> PreprocessResult:

@@ -9,21 +9,22 @@ deterministic bridging of disconnected inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, KeysView, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, NotAPath, ValidationError
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple undirected graph of n vertices and m edges; build validates.
     A built graph has the ids 1..n, a residual keeps the input's ids, and
     each constructor inserts the ids in ascending order."""
 
     n: int
     m: int
-    neighbours: dict[int, set[int]] = field(hash=False)
+    neighbours: dict[int, set[int]]
+
+    def __hash__(self) -> int:  # the neighbour sets are unhashable
+        return hash((self.n, self.m))
 
     @staticmethod
     def build(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

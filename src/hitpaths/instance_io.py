@@ -21,7 +21,6 @@ Solution file: "s <size> <v1> ... <vk>" for YES, "s -1" for NO.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import ParseError, ValidationError
@@ -32,8 +31,7 @@ KIND_PATHS = "paths"
 KIND_SUBGRAPHS = "subgraphs"
 
 
-@dataclass(frozen=True)
-class HitPathsInstance:
+class HitPathsInstance(NamedTuple):
     graph: Graph
     paths: tuple[tuple[int, ...], ...]
     t: int

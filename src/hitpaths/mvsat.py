@@ -9,7 +9,7 @@ followed by a linear-time implication-graph solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, NamedTuple, Optional
 
 from .errors import ClauseTooWide, InvariantViolation, ValidationError
@@ -23,25 +23,23 @@ class SignedLiteral(NamedTuple):
     op: str  # ">=" or "<="
     bound: int
 
-    def holds(self, value: int) -> bool:
-        return value >= self.bound if self.op == GE else value <= self.bound
 
+class SignedFormula(namedtuple("SignedFormula", "num_vars num_values clauses")):
+    """Clauses of (var, op, bound) literals over x_1..x_num_vars, each
+    taking values 1..num_values; a literal may be a plain triple."""
 
-@dataclass(frozen=True)
-class SignedFormula:
-    num_vars: int
-    num_values: int
-    clauses: tuple[tuple[SignedLiteral, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for clause in self.clauses:
+    def __new__(cls, num_vars: int, num_values: int, clauses):
+        for clause in clauses:
             for var, op, bound in clause:
-                if not (1 <= var <= self.num_vars):
+                if not (1 <= var <= num_vars):
                     raise ValidationError(f"variable x_{var} out of range")
-                if not (1 <= bound <= self.num_values):
-                    raise ValidationError(f"bound {bound} out of range 1..{self.num_values}")
+                if not (1 <= bound <= num_values):
+                    raise ValidationError(f"bound {bound} out of range 1..{num_values}")
                 if op not in (GE, LE):
                     raise ValidationError(f"bad literal op {op!r}")
+        return tuple.__new__(cls, (num_vars, num_values, clauses))
 
 
 class BoolCnf(NamedTuple):
@@ -52,7 +50,10 @@ class BoolCnf(NamedTuple):
 
 
 def satisfies(f: SignedFormula, values) -> bool:
-    return all(any(lit.holds(values[lit.var - 1]) for lit in clause) for clause in f.clauses)
+    return all(
+        any(values[v - 1] >= b if op == GE else values[v - 1] <= b for v, op, b in clause)
+        for clause in f.clauses
+    )
 
 
 def signed_to_classical(f: SignedFormula) -> tuple[BoolCnf, Callable[[list[bool]], tuple[int, ...]]]:

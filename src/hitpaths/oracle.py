@@ -9,8 +9,7 @@ budget policies.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CapExceeded, ValidationError
 from .instance_io import Solution
@@ -24,8 +23,7 @@ def default_cap() -> int:
         raise ValidationError(f"HITPATHS_CAP={raw!r} is not an integer") from None
 
 
-@dataclass(frozen=True)
-class SetSystem:
+class SetSystem(NamedTuple):
     universe: int
     sets: tuple[frozenset[int], ...]
 

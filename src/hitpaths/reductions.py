@@ -13,7 +13,7 @@ import bisect
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ClauseTooWide,
@@ -150,8 +150,7 @@ def signed3sat_to_fvs2_instance(f: SignedFormula) -> HitPathsInstance:
     return make_instance(Graph.build(z + 1, edges), targets, f.num_vars, KIND_PATHS)
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(NamedTuple):
     seed: int
     k: int
     n: int

@@ -17,7 +17,6 @@ Not collected by pytest (the file name does not start with test_).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import random
@@ -65,7 +64,7 @@ def entry(name, inst) -> dict:
     return {
         "name": name,
         "verdict": sol.verdict,
-        "stats": dataclasses.asdict(stats),
+        "stats": vars(stats),
         "answer": hashlib.sha256(answer.encode()).hexdigest()[:16],
     }
 

@@ -275,6 +275,47 @@ MUTANTS = (
             "tests/test_mvsat.py::test_solve_2sat_checks_its_clauses",
         ),
     ),
+    Mutant(
+        "SignedFormula drops its variable range check",
+        "mvsat.py",
+        "                if not (1 <= var <= num_vars):\n",
+        "                if False:\n",
+        (
+            "tests/test_io.py::test_parse_formula_errors",
+            "tests/test_mvsat.py::test_signed_formula_rejects_each_bad_literal",
+        ),
+    ),
+    Mutant(
+        "SignedFormula drops its bound range check",
+        "mvsat.py",
+        "                if not (1 <= bound <= num_values):\n",
+        "                if False:\n",
+        (
+            "tests/test_io.py::test_parse_formula_errors",
+            "tests/test_mvsat.py::test_signed_formula_rejects_each_bad_literal",
+        ),
+    ),
+    Mutant(
+        "SignedFormula drops its op check",
+        "mvsat.py",
+        "                if op not in (GE, LE):\n",
+        "                if False:\n",
+        (
+            "tests/test_mvsat.py::test_signed_formula_rejects_each_bad_literal",
+        ),
+    ),
+    Mutant(
+        "satisfies reads every literal as >=",
+        "mvsat.py",
+        "values[v - 1] >= b if op == GE else values[v - 1] <= b",
+        "values[v - 1] >= b",
+        (
+            "tests/test_mvsat.py::test_tors2sat_takes_plain_triples",
+            "tests/test_mvsat.py::test_tors2sat_agrees_with_enumeration",
+            "tests/test_flower.py::test_solve_flower_matches_bruteforce_random",
+            "tests/test_fpt.py::test_solver_matches_oracle_random",
+        ),
+    ),
 )
 
 

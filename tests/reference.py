@@ -51,7 +51,7 @@ def enumerate_signed(f: SignedFormula, cap: int = 10**8) -> Optional[tuple[int, 
     # clause index -> checked once its highest variable is assigned
     by_maxvar: list[list[tuple[SignedLiteral, ...]]] = [[] for _ in range(n + 1)]
     for clause in f.clauses:
-        by_maxvar[max(lit.var for lit in clause)].append(clause)
+        by_maxvar[max(var for var, _, _ in clause)].append(clause)
 
     values = [0] * n  # 0 marks an unassigned variable
     depth = 0
@@ -63,7 +63,7 @@ def enumerate_signed(f: SignedFormula, cap: int = 10**8) -> Optional[tuple[int, 
             values[depth] = 0
             depth -= 1
         elif all(
-            any(lit.holds(values[lit.var - 1]) for lit in clause)
+            any(values[v - 1] >= b if op == GE else values[v - 1] <= b for v, op, b in clause)
             for clause in by_maxvar[depth + 1]
         ):
             depth += 1

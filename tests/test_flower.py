@@ -547,7 +547,7 @@ def test_slot_check_matches_adjacent_reference():
         args = (base.core, base.petals, base.budgets, paths, links)
         want = outcome(adjacent_make_flower, *args)
         assert outcome(make_flower, *args) == want
-        verdicts[want[1] if isinstance(want, tuple) else "accepted"] += 1
+        verdicts["accepted" if isinstance(want, FlowerInstance) else want[1]] += 1
     assert min(kinds.values()) > 150, kinds
     assert verdicts["accepted"] > 500, verdicts
     messages = Counter(m.split(" ", 2)[-1] for m in verdicts if m != "accepted")

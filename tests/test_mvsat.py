@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 from collections import Counter
 
@@ -153,6 +154,30 @@ def test_tors2sat_examples():
     assert solve_tors2sat(contradiction) is None
     empty = SignedFormula(3, 4, ())
     assert solve_tors2sat(empty) == (1, 1, 1)  # decoder floor
+
+
+def test_tors2sat_takes_plain_triples():
+    # SignedFormula accepts plain (var, op, bound) literals, so every reader unpacks them
+    f = SignedFormula(1, 3, (((1, ">=", 2),),))
+    assert solve_tors2sat(f) == (2,) == enumerate_signed(f)
+    g = SignedFormula(2, 3, (((1, LE, 1), (2, GE, 3)), ((1, GE, 2),)))
+    assert solve_tors2sat(g) == (2, 3) == enumerate_signed(g)
+    assert satisfies(g, (2, 3)) and not satisfies(g, (3, 2)) and not satisfies(g, (1, 3))
+
+
+def test_signed_formula_rejects_each_bad_literal():
+    for lit in [(1, GE, 1), (2, LE, 3), SignedLiteral(2, GE, 3)]:  # the extremes are in range
+        assert SignedFormula(2, 3, ((lit,),)).clauses == ((lit,),)
+    for lit, message in [
+        ((0, GE, 1), "variable x_0 out of range"),
+        ((3, LE, 2), "variable x_3 out of range"),
+        ((1, GE, 0), "bound 0 out of range 1..3"),
+        ((2, LE, 4), "bound 4 out of range 1..3"),
+        ((1, "==", 2), "bad literal op '=='"),
+        ((1, ">", 2), "bad literal op '>'"),
+    ]:
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            SignedFormula(2, 3, (((1, GE, 2), lit),))
 
 
 def named_thresholds(f: SignedFormula) -> list[tuple[int, int]]:

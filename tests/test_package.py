@@ -7,6 +7,9 @@ import sys
 from pathlib import Path
 
 import hitpaths
+from hitpaths.bench import AgreementReport, ScalingReport
+from hitpaths.oracle import SetSystem
+from hitpaths.reductions import GeneratorConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -100,3 +103,54 @@ def test_cli_solve_and_a_yes_verify_load_no_oracle_generator_or_harness(tmp_path
     assert "hitpaths.cli" in got["modules"]
     unused = {"hitpaths.bench", "hitpaths.oracle", "hitpaths.reductions"}
     assert unused.isdisjoint(got["modules"]), got["modules"]
+
+
+def test_no_module_imports_dataclasses():
+    # records are tuples (typing.NamedTuple or a namedtuple subclass), and
+    # SolveStats is a SimpleNamespace, so no record needs generated code
+    offenders = []
+    for path in sorted((ROOT / "src" / "hitpaths").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_importing_the_solver_loads_neither_dataclasses_nor_inspect():
+    got = loaded_modules(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import hitpaths, hitpaths.fpt, hitpaths.instance_io\n"
+        "out['std'] = sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))\n"
+    )
+    assert got["std"] == []
+
+
+def test_records_keep_their_hash_rule_and_counters():
+    records = [
+        hitpaths.Graph, hitpaths.HitPathsInstance, hitpaths.FlowerInstance,
+        hitpaths.SignedFormula, SetSystem, GeneratorConfig, ScalingReport, AgreementReport,
+    ]
+    assert all(issubclass(r, tuple) for r in records)
+    # a graph hashes by (n, m) alone, so instances over it stay hashable
+    left, right = hitpaths.Graph.build(3, [(1, 2)]), hitpaths.Graph.build(3, [(2, 3)])
+    assert left != right and hash(left) == hash(right)
+    inst = hitpaths.make_instance(left, [(2, 1)], 1)
+    twin = hitpaths.make_instance(hitpaths.Graph.build(3, [(2, 1)]), [(2, 1)], 1)
+    assert inst == twin and hash(inst) == hash(twin) and len({inst, twin}) == 1
+    assert inst == (left, ((2, 1),), 1, hitpaths.KIND_PATHS)  # equal to a plain tuple
+    # the one mutable record keeps its counters' order and defaults, read with vars()
+    stats = hitpaths.SolveStats()
+    assert list(vars(stats).items()) == [
+        ("k", 0), ("high_degree", 0), ("components", 0), ("branches_enumerated", 0),
+        ("branches_after_filter", 0), ("flower_calls", 0), ("solution_cost", None),
+    ]
+    assert stats == hitpaths.SolveStats() and repr(stats).startswith("SolveStats(k=0, ")
+    stats.flower_calls += 1
+    assert stats != hitpaths.SolveStats()
