@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 
 from .errors import InvariantViolation, ValidationError
 from .instance_io import Solution
-from .mvsat import GE, LE, SignedFormula, SignedLiteral, solve_tors2sat
+from .mvsat import GE, LE, SignedFormula, solve_tors2sat
 from .treecycle import Interval, chain, pad, reach
 
 
@@ -181,9 +181,9 @@ def canonical_table(petal_length: int, internal_paths, budget: int) -> Canonical
 
 def fragment_literal(
     petal_index: int, fragment: Interval, table: CanonicalTable
-) -> Optional[SignedLiteral]:
-    """Literal over the petal's index variable characterizing when the
-    canonical solution hits the given prefix or suffix fragment.
+) -> Optional[tuple[int, str, int]]:
+    """The (var, op, bound) literal over the petal's index variable that
+    holds exactly when the canonical solution hits the prefix or suffix fragment.
 
     Prefix [1,c]: hit iff the index is at most c. Suffix [c,L]: hit iff the
     rightmost canonical position reaches c, which by monotonicity happens
@@ -191,11 +191,11 @@ def fragment_literal(
     Returns None when no well-defined canonical solution hits the fragment.
     """
     if fragment.lo == 1:
-        return SignedLiteral(petal_index, LE, fragment.hi)
+        return petal_index, LE, fragment.hi
     if fragment.hi != table.length:
         raise ValidationError(f"fragment [{fragment.lo},{fragment.hi}] is neither prefix nor suffix")
     j = bisect_left(table.maxima, fragment.lo)
-    return SignedLiteral(petal_index, GE, table.first + j) if j < len(table.maxima) else None
+    return (petal_index, GE, table.first + j) if j < len(table.maxima) else None
 
 
 def solve_flower(inst: FlowerInstance) -> Solution:
@@ -216,14 +216,14 @@ def solve_flower(inst: FlowerInstance) -> Solution:
         return Solution("NO")
 
     tables = []
-    clauses: list[tuple[SignedLiteral, ...]] = []
+    clauses: list[tuple[tuple[int, str, int], ...]] = []
     for i, petal in enumerate(inst.petals):
         table = canonical_table(len(petal), inst.internal[i], inst.budgets[i])
         tables.append(table)
         if not table.maxima:
             return Solution("NO")
-        clauses.append((SignedLiteral(i + 1, GE, table.first),))
-        clauses.append((SignedLiteral(i + 1, LE, table.first + len(table.maxima) - 1),))
+        clauses.append(((i + 1, GE, table.first),))
+        clauses.append(((i + 1, LE, table.first + len(table.maxima) - 1),))
 
     seen_clauses = set()
     for frags in inst.crossing:

@@ -152,15 +152,15 @@ def component_budgets(comps: list[PathComponent], s, paths) -> list[ComponentDat
             if len(p) == len(comps[ci].vertices):
                 covered_by[ci].add(i)
             continue
-        # the runs of p outside s, each inside one component, as p[a:b]
-        marks = [*map(s.__contains__, p), True, False]
+        # the runs of p outside s, each inside one component, as p[a:b]:
+        # cut at the sorted positions of p's S-vertices, len(p) closing the last
         inside: dict[int, int] = {}  # component -> vertices of p in it
-        a = marks.index(False)
-        while a < len(p):
-            b = marks.index(True, a)
-            ci = at[p[a]][0]
-            inside[ci] = inside.get(ci, 0) + b - a
-            a = marks.index(False, b)
+        a = 0
+        for b in [*sorted(map(p.index, s.intersection(p))), len(p)]:
+            if a < b:
+                ci = at[p[a]][0]
+                inside[ci] = inside.get(ci, 0) + b - a
+            a = b + 1
         for ci, count in inside.items():
             if count == len(comps[ci].vertices):
                 covered_by[ci].add(i)

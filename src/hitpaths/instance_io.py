@@ -106,9 +106,15 @@ def _int(tok: str, what: str) -> int:
     raise ParseError(f"bad {what} token {tok!r}")
 
 
-def _ints(tokens, what: str) -> list[int]:
-    """_int over many tokens: one ASCII and '_' test of the joined tokens
+def _ints(tokens, what: str, ids: Optional[dict[str, int]] = None) -> list[int]:
+    """_int over many tokens: one lookup per token in the table ids of
+    canonical spellings, else one ASCII and '_' test of the joined tokens
     and one map(int, ...); token by token only to name a bad one."""
+    if ids:
+        try:
+            return list(map(ids.__getitem__, tokens))
+        except KeyError:  # another spelling ('+5', '007'), an id off the table or a bad token
+            pass
     joined = "".join(tokens)
     if joined.isascii() and "_" not in joined:
         try:
@@ -146,8 +152,10 @@ def parse_instance(text: str) -> HitPathsInstance:
             cuts.append(len(vertex_tokens))
         else:
             raise ParseError(f"unknown line tag {tag!r}")
-    ends = _ints(end_tokens, "vertex")
-    vs = _ints(vertex_tokens, "vertex")
+    # ids spelled as str(v) convert by lookup, at most one entry per token
+    ids = {str(v): v for v in range(1, min(n, len(end_tokens) + len(vertex_tokens)) + 1)}
+    ends = _ints(end_tokens, "vertex", ids)
+    vs = _ints(vertex_tokens, "vertex", ids)
     targets = []
     for k, a, b in zip(_ints(size_tokens, "target size"), cuts, cuts[1:]):
         if k != b - a:

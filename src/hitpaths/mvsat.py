@@ -41,6 +41,8 @@ class SignedFormula(namedtuple("SignedFormula", "num_vars num_values clauses")):
                     raise ValidationError(f"bad literal op {op!r}")
         return tuple.__new__(cls, (num_vars, num_values, clauses))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
 
 class BoolCnf(NamedTuple):
     """Clauses of at most two DIMACS-style int literals (+v / -v)."""

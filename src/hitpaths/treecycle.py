@@ -30,6 +30,8 @@ class Interval(namedtuple("Interval", "lo hi")):
             raise ValidationError(f"interval [{lo},{hi}] is reversed")
         return tuple.__new__(cls, (lo, hi))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
 
 def reach(length: int, intervals) -> list[int]:
     """Slot p (1..length + 1) holds the smallest right end among the (lo, hi)

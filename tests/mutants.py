@@ -149,10 +149,20 @@ MUTANTS = (
     Mutant(
         "a run through s counts only its last stretch of a component",
         "fpt.py",
-        "            inside[ci] = inside.get(ci, 0) + b - a\n",
-        "            inside[ci] = b - a\n",
+        "                inside[ci] = inside.get(ci, 0) + b - a\n",
+        "                inside[ci] = b - a\n",
         (
             "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
+            "tests/test_fpt.py::test_component_budgets_matches_classifying_reference",
+        ),
+    ),
+    Mutant(
+        "a run cut drops the run after the last S-vertex",
+        "fpt.py",
+        "[*sorted(map(p.index, s.intersection(p))), len(p)]",
+        "sorted(map(p.index, s.intersection(p)))",
+        (
+            "tests/test_fpt.py::test_component_budgets_cuts_targets_at_their_s_vertices",
             "tests/test_fpt.py::test_component_budgets_matches_classifying_reference",
         ),
     ),
@@ -227,6 +237,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "vertex id table shifted by one",
+        "instance_io.py",
+        "{str(v): v for v in",
+        "{str(v + 1): v for v in",
+        (
+            "tests/test_io.py::test_ids_in_other_spellings_parse_as_canonical_ones",
+            "tests/test_io.py::test_streaming_parse_matches_the_two_pass_reference",
+        ),
+    ),
+    Mutant(
         "certificate takes the largest chosen vertex",
         "instance_io.py",
         "tuple(map(min, map(cs.intersection, paths)))",
@@ -243,6 +263,34 @@ MUTANTS = (
         (
             "tests/test_flower.py::test_solve_flower_worked_example",
             "tests/test_flower.py::test_solve_flower_matches_bruteforce_random",
+        ),
+    ),
+    Mutant(
+        "fragment_literal's suffix bound off by one",
+        "flower.py",
+        "(petal_index, GE, table.first + j)",
+        "(petal_index, GE, table.first + j + 1)",
+        (
+            "tests/test_flower.py::test_fragment_literals",
+            "tests/test_flower.py::test_solve_flower_matches_bruteforce_random",
+        ),
+    ),
+    Mutant(
+        "Interval._make and _replace skip the reversed-interval check",
+        "treecycle.py",
+        "    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too\n",
+        "",
+        (
+            "tests/test_treecycle.py::test_interval_make_and_replace_run_the_check",
+        ),
+    ),
+    Mutant(
+        "SignedFormula._make and _replace skip the literal checks",
+        "mvsat.py",
+        "    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too\n",
+        "",
+        (
+            "tests/test_mvsat.py::test_signed_formula_replace_and_make_run_the_checks",
         ),
     ),
     Mutant(

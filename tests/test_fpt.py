@@ -723,6 +723,31 @@ def assert_same_budgets(g, s, paths):
     return got
 
 
+# S = {1, 2} (adjacent) joined by the paths 1-3-4-2, 1-5-6-2 and 1-7-2
+THETA = Graph.build(7, [(1, 2), (1, 3), (3, 4), (4, 2), (1, 5), (5, 6), (6, 2), (1, 7), (7, 2)])
+
+
+def test_component_budgets_cuts_targets_at_their_s_vertices():
+    s = high_degree_set(THETA)
+    assert s == [1, 2]
+    for target, covers in [  # covers: the components the target holds whole
+        ((1, 3, 4), {0}),  # starts on an S-vertex
+        ((5, 6, 2), {1}),  # ends on one
+        ((1, 3, 4, 2), {0}),  # both
+        ((3, 1, 2, 4), {0}),  # two adjacent S-vertices: an empty run between them
+        ((4, 3, 1, 2, 6), {0}),
+        ((3, 1, 5, 6, 2, 4), {0, 1}),  # leaves (3, 4) through S and re-enters it
+        ((3, 1, 7, 2, 4), {0, 2}),
+        ((7, 1, 5, 6, 2), {1, 2}),
+        ((3, 1, 7), {2}),
+        ((1, 2), set()),  # no run at all
+        ((2,), set()),
+    ]:
+        comps = assert_same_budgets(THETA, s, [(4,), target, (5, 6)])
+        assert [cd.component.vertices for cd in comps] == [(3, 4), (5, 6), (7,)]
+        assert {ci for ci, cd in enumerate(comps) if 1 in cd.covered_by} == covers, target
+
+
 def test_component_budgets_matches_classifying_reference():
     rng = random.Random(107)
     residuals = reentering = covering = 0

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -23,6 +24,7 @@ from hitpaths import (
     write_signed_formula,
     write_solution,
 )
+from hitpaths import instance_io
 from hitpaths.instance_io import certificate_for, unhit_targets
 from hitpaths.reductions import GeneratorConfig, gen_random_instance
 
@@ -200,6 +202,65 @@ def test_integers_are_ascii_decimals_only():
     assert parse_signed_formula("p scnf 2 3 1\n+01:2 -2:+1 0\n").clauses == (
         (SignedLiteral(1, GE, 2), SignedLiteral(2, LE, 1)),
     )
+
+
+def _respell(rng, text, tags):
+    """text with about half the vertex tokens of the lines tagged in tags
+    spelled as int() reads them but str() never writes them: '+5', '05',
+    '007'."""
+    lines = []
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens and tokens[0] in tags:
+            first = 1 if tokens[0] == "e" else 2  # past the tag, and a target's size
+            tokens[first:] = [
+                rng.choice(("+", "0", "00")) + tok if rng.random() < 0.5 else tok
+                for tok in tokens[first:]
+            ]
+        lines.append(" ".join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+def test_ids_in_other_spellings_parse_as_canonical_ones():
+    # such a token is not in the id table, so its list goes through int()
+    assert parse_instance("p hitpaths 7 1 1 0\ne +5 007\ns 2 5 7\n") == parse_instance(
+        "p hitpaths 7 1 1 0\ne 5 7\ns 2 +5 007\n"
+    )
+    respelt = Counter()
+    for seed in range(200):
+        rng = random.Random(seed)
+        cfg = GeneratorConfig(
+            seed=seed, k=rng.randint(0, 3), n=rng.randint(4, 12), num_paths=rng.randint(1, 8)
+        )
+        text = write_instance(gen_random_instance(cfg))
+        want = parse_instance(text)
+        for tags in ("e", "s", "es"):  # edge lines only, target lines only, both
+            other = _respell(rng, text, tags)
+            assert parse_instance(other) == want, other
+            respelt[tags] += other != text
+    assert min(respelt.values()) > 150, respelt
+
+
+def test_id_table_holds_at_most_one_entry_per_token(monkeypatch):
+    tables = []
+    convert = instance_io._ints
+
+    def spy(tokens, what, ids=None):
+        if ids is not None:
+            tables.append(ids)
+        return convert(tokens, what, ids)
+
+    monkeypatch.setattr(instance_io, "_ints", spy)
+    parse_instance("p hitpaths 20000 1 1 0\ne 1 2\ns 1 2\n")  # 3 id tokens
+    assert tables == [{"1": 1, "2": 2, "3": 3}] * 2
+    tables.clear()
+    t0 = time.perf_counter()
+    parse_instance("p hitpaths 20000 0 0 0\n")
+    assert time.perf_counter() - t0 < 2.0
+    assert tables == [{}] * 2
+    tables.clear()
+    parse_instance(TRIANGLE)  # n = 3 below the 6 id tokens
+    assert tables == [{"1": 1, "2": 2, "3": 3}] * 2
 
 
 def _edit_instance_text(rng, text):

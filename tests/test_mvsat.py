@@ -180,6 +180,18 @@ def test_signed_formula_rejects_each_bad_literal():
             SignedFormula(2, 3, (((1, GE, 2), lit),))
 
 
+def test_signed_formula_replace_and_make_run_the_checks():
+    f = SignedFormula(1, 3, ())
+    with pytest.raises(ValidationError, match=re.escape("variable x_5 out of range")):
+        f._replace(clauses=(((5, GE, 1),),))
+    with pytest.raises(ValidationError, match=re.escape("bound 3 out of range 1..2")):
+        SignedFormula(1, 3, (((1, LE, 3),),))._replace(num_values=2)
+    with pytest.raises(ValidationError, match=re.escape("bad literal op '=='")):
+        SignedFormula._make((1, 3, (((1, "==", 2),),)))
+    assert f._replace(num_vars=2, clauses=(((2, GE, 3),),)) == (2, 3, (((2, GE, 3),),))
+    assert type(SignedFormula._make([1, 3, ()])) is SignedFormula
+
+
 def named_thresholds(f: SignedFormula) -> list[tuple[int, int]]:
     """The (variable, threshold) pairs the clauses that can fail name, in
     the encoder's boolean order: b for x >= b and b + 1 for x <= b."""

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -37,6 +38,14 @@ def test_stab_rejects_out_of_range():
         stab_intervals(3, [Interval(2, 4)])
     with pytest.raises(ValidationError):
         Interval(3, 2)
+
+
+def test_interval_make_and_replace_run_the_check():
+    with pytest.raises(ValidationError, match=re.escape("interval [5,2] is reversed")):
+        Interval._make((5, 2))
+    with pytest.raises(ValidationError, match=re.escape("interval [3,2] is reversed")):
+        Interval(1, 2)._replace(lo=3)
+    assert Interval(1, 2)._replace(hi=4) == (1, 4) and type(Interval._make([2, 2])) is Interval
 
 
 def test_stab_matches_bruteforce_exhaustive():
