@@ -53,13 +53,11 @@ from .mvsat import (
     LE,
     BoolCnf,
     SignedFormula,
-    SignedLiteral,
     signed_to_classical,
     solve_2sat,
     solve_tors2sat,
 )
 from .treecycle import (
-    Interval,
     hit_paths_in_cycle,
     stab_intervals,
 )

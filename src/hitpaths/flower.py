@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 from .errors import InvariantViolation, ValidationError
 from .instance_io import Solution
 from .mvsat import GE, LE, SignedFormula, solve_tors2sat
-from .treecycle import Interval, chain, pad, reach
+from .treecycle import chain, pad, reach
 
 
 class FlowerInstance(NamedTuple):
@@ -29,9 +29,9 @@ class FlowerInstance(NamedTuple):
     core_links: frozenset[int]  # petal endpoints adjacent to the core
     # per petal, the (lo, hi) position spans of the targets inside it
     internal: tuple[tuple[tuple[int, int], ...], ...]
-    # per target through the core, its (petal, fragment) pieces in path
+    # per target through the core, its (petal, (lo, hi)) fragments in path
     # order; () for a target that is the bare core
-    crossing: tuple[tuple[tuple[int, Interval], ...], ...]
+    crossing: tuple[tuple[tuple[int, tuple[int, int]], ...], ...]
 
 
 def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance:
@@ -112,7 +112,7 @@ def make_flower(core, petals, budgets, paths, core_links=None) -> FlowerInstance
         if None in pieces or not core_links.issuperset(near):
             raise ValidationError(f"path {idx} is not a path of the flower")
         if crosses:
-            crossing.append(tuple([(i, Interval(lo, hi)) for i, lo, hi in pieces]))
+            crossing.append(tuple([(i, (lo, hi)) for i, lo, hi in pieces]))
         else:
             internal[pieces[0][0]].append(pieces[0][1:])
     spans = tuple(map(tuple, internal))
@@ -180,21 +180,25 @@ def canonical_table(petal_length: int, internal_paths, budget: int) -> Canonical
 
 
 def fragment_literal(
-    petal_index: int, fragment: Interval, table: CanonicalTable
+    petal_index: int, fragment: tuple[int, int], table: CanonicalTable
 ) -> Optional[tuple[int, str, int]]:
     """The (var, op, bound) literal over the petal's index variable that
-    holds exactly when the canonical solution hits the prefix or suffix fragment.
+    holds exactly when the canonical solution hits the (lo, hi) prefix or
+    suffix fragment, which must satisfy 1 <= lo <= hi <= L.
 
     Prefix [1,c]: hit iff the index is at most c. Suffix [c,L]: hit iff the
     rightmost canonical position reaches c, which by monotonicity happens
     from some smallest index on, found by bisecting the table's maxima.
     Returns None when no well-defined canonical solution hits the fragment.
     """
-    if fragment.lo == 1:
-        return petal_index, LE, fragment.hi
-    if fragment.hi != table.length:
-        raise ValidationError(f"fragment [{fragment.lo},{fragment.hi}] is neither prefix nor suffix")
-    j = bisect_left(table.maxima, fragment.lo)
+    lo, hi = fragment
+    if not 1 <= lo <= hi <= table.length:
+        raise ValidationError(f"fragment [{lo},{hi}] out of range for length {table.length}")
+    if lo == 1:
+        return petal_index, LE, hi
+    if hi != table.length:
+        raise ValidationError(f"fragment [{lo},{hi}] is neither prefix nor suffix")
+    j = bisect_left(table.maxima, lo)
     return (petal_index, GE, table.first + j) if j < len(table.maxima) else None
 
 

@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .errors import ParseError, ValidationError
 from .graph import Graph, path_in
-from .mvsat import SignedFormula, SignedLiteral
+from .mvsat import SignedFormula
 
 KIND_PATHS = "paths"
 KIND_SUBGRAPHS = "subgraphs"
@@ -200,7 +200,7 @@ def parse_signed_formula(text: str) -> SignedFormula:
                 raise ParseError(f"bad literal token {tok!r}")
             var_s, _, bound_s = tok[1:].partition(":")
             op = ">=" if tok[0] == "+" else "<="
-            lits.append(SignedLiteral(_int(var_s, "variable index"), op, _int(bound_s, "bound")))
+            lits.append((_int(var_s, "variable index"), op, _int(bound_s, "bound")))
         clauses.append(tuple(lits))
     if len(clauses) != c:
         raise ParseError(f"header announces {c} clauses, found {len(clauses)}")
@@ -210,7 +210,7 @@ def parse_signed_formula(text: str) -> SignedFormula:
 def write_signed_formula(f: SignedFormula) -> str:
     lines = [f"p scnf {f.num_vars} {f.num_values} {len(f.clauses)}"]
     for clause in f.clauses:
-        toks = [("+" if lit.op == ">=" else "-") + f"{lit.var}:{lit.bound}" for lit in clause]
+        toks = [("+" if op == ">=" else "-") + f"{var}:{bound}" for var, op, bound in clause]
         lines.append(" ".join(toks + ["0"]))
     return "\n".join(lines) + "\n"
 

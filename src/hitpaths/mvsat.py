@@ -18,15 +18,9 @@ GE = ">="
 LE = "<="
 
 
-class SignedLiteral(NamedTuple):
-    var: int
-    op: str  # ">=" or "<="
-    bound: int
-
-
 class SignedFormula(namedtuple("SignedFormula", "num_vars num_values clauses")):
-    """Clauses of (var, op, bound) literals over x_1..x_num_vars, each
-    taking values 1..num_values; a literal may be a plain triple."""
+    """Clauses of (var, op, bound) literal triples over x_1..x_num_vars,
+    each taking values 1..num_values; op is GE or LE."""
 
     __slots__ = ()
 

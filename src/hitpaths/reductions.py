@@ -24,7 +24,7 @@ from .errors import (
 )
 from .graph import Graph
 from .instance_io import KIND_PATHS, KIND_SUBGRAPHS, HitPathsInstance, make_instance
-from .mvsat import GE, LE, SignedFormula, SignedLiteral
+from .mvsat import GE, LE, SignedFormula
 from .oracle import SetSystem, exact_min_hitting_set
 
 
@@ -51,23 +51,23 @@ def clique_to_signed3sat(g: Graph, k: int) -> SignedFormula:
         for j in range(i + 1, k + 1):
             pair_var[(i, j)] = nxt
             nxt += 1
-    clauses: list[tuple[SignedLiteral, ...]] = []
+    clauses: list[tuple[tuple[int, str, int], ...]] = []
     for (i, j), e in pair_var.items():
         if nvals > num_edges:
-            clauses.append((SignedLiteral(e, LE, num_edges),))
+            clauses.append(((e, LE, num_edges),))
         for ell, (p, q) in enumerate(edges, start=1):
             guard = []
             if ell > 1:
-                guard.append(SignedLiteral(e, LE, ell - 1))
+                guard.append((e, LE, ell - 1))
             if ell < num_edges:
-                guard.append(SignedLiteral(e, GE, ell + 1))
+                guard.append((e, GE, ell + 1))
             for vertex_var, endpoint in ((i, p), (j, q)):
-                clauses.append(tuple(guard + [SignedLiteral(vertex_var, LE, endpoint)]))
-                clauses.append(tuple(guard + [SignedLiteral(vertex_var, GE, endpoint)]))
+                clauses.append(tuple(guard + [(vertex_var, LE, endpoint)]))
+                clauses.append(tuple(guard + [(vertex_var, GE, endpoint)]))
     return SignedFormula(nxt - 1, nvals, tuple(clauses))
 
 
-def _simplify_clauses(f: SignedFormula) -> list[tuple[SignedLiteral, ...]]:
+def _simplify_clauses(f: SignedFormula) -> list[tuple[tuple[int, str, int], ...]]:
     """Drop trivially satisfied clauses and absorb same-sign duplicates.
 
     A clause with x_i <= c1 and x_i >= c2 for c2 <= c1 + 1 always holds.
@@ -79,14 +79,14 @@ def _simplify_clauses(f: SignedFormula) -> list[tuple[SignedLiteral, ...]]:
         if len(clause) > 3:
             raise ClauseTooWide(f"clause of width {len(clause)} (max 3)")
         weakest: dict[tuple[int, str], int] = {}
-        for lit in clause:
-            key = (lit.var, lit.op)
+        for var, op, bound in clause:
+            key = (var, op)
             if key not in weakest:
-                weakest[key] = lit.bound
-            elif lit.op == GE:
-                weakest[key] = min(weakest[key], lit.bound)
+                weakest[key] = bound
+            elif op == GE:
+                weakest[key] = min(weakest[key], bound)
             else:
-                weakest[key] = max(weakest[key], lit.bound)
+                weakest[key] = max(weakest[key], bound)
         trivial = any(
             (var, LE) in weakest
             and (var, GE) in weakest
@@ -95,7 +95,7 @@ def _simplify_clauses(f: SignedFormula) -> list[tuple[SignedLiteral, ...]]:
         )
         if trivial:
             continue
-        out.append(tuple(SignedLiteral(v, op, b) for (v, op), b in sorted(weakest.items())))
+        out.append(tuple((v, op, b) for (v, op), b in sorted(weakest.items())))
     return out
 
 
@@ -109,9 +109,10 @@ def _variable_petals(f: SignedFormula):
     petals = [range((i - 1) * nvals + 1, i * nvals + 1) for i in range(1, n + 1)]
     edges = [(v, v + 1) for petal in petals for v in petal[:-1]]
 
-    def fragment(lit: SignedLiteral) -> range:
-        petal = petals[lit.var - 1]
-        return petal[: lit.bound] if lit.op == LE else petal[lit.bound - 1 :]
+    def fragment(lit: tuple[int, str, int]) -> range:
+        var, op, bound = lit
+        petal = petals[var - 1]
+        return petal[:bound] if op == LE else petal[bound - 1 :]
 
     clause_frags = [list(map(fragment, clause)) for clause in _simplify_clauses(f)]
     return petals, edges, [tuple(petal) for petal in petals], clause_frags

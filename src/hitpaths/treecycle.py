@@ -7,30 +7,16 @@ endpoint greedy over it. stab_intervals is the chain from reach[1];
 flower.canonical_table walks it from an index only when that slot is read;
 and hit_paths_in_cycle walks it from each vertex of a shortest arc on the
 cycle unrolled twice, in O(L + |arcs|) overall. A cycle arc is a plain
-(start, size) pair, and a line interval a (lo, hi) pair.
+(start, size) pair, and a line interval a (lo, hi) pair naming positions
+lo..hi (1-based, inclusive); reach rejects one that is reversed or out of
+range.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import islice
 
 from .errors import ValidationError
-
-
-class Interval(namedtuple("Interval", "lo hi")):
-    """Positions lo..hi (1-based, inclusive) on a path component. It is a
-    (lo, hi) pair, and reach takes plain pairs too, so the spans of a
-    canonical table reach its O(L + |I|) pass unwrapped."""
-
-    __slots__ = ()
-
-    def __new__(cls, lo: int, hi: int):
-        if lo > hi:
-            raise ValidationError(f"interval [{lo},{hi}] is reversed")
-        return tuple.__new__(cls, (lo, hi))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
 
 def reach(length: int, intervals) -> list[int]:

@@ -10,7 +10,6 @@ from hitpaths import (
     Graph,
     HitPathsInstance,
     SignedFormula,
-    SignedLiteral,
     make_flower,
     make_instance,
 )
@@ -57,7 +56,7 @@ def random_signed_formula(
     for _ in range(rng.randint(0, max_clauses)):
         width = rng.randint(1, max_width)
         lits = tuple(
-            SignedLiteral(rng.randint(1, n), rng.choice([GE, LE]), rng.randint(1, nvals))
+            (rng.randint(1, n), rng.choice([GE, LE]), rng.randint(1, nvals))
             for _ in range(width)
         )
         clauses.append(lits)

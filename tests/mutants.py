@@ -276,12 +276,21 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "Interval._make and _replace skip the reversed-interval check",
-        "treecycle.py",
-        "    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too\n",
-        "",
+        "fragment_literal drops its range check",
+        "flower.py",
+        "    if not 1 <= lo <= hi <= table.length:\n",
+        "    if False:\n",
         (
-            "tests/test_treecycle.py::test_interval_make_and_replace_run_the_check",
+            "tests/test_flower.py::test_fragment_literal_rejects_out_of_range",
+        ),
+    ),
+    Mutant(
+        "write_signed_formula swaps var and bound",
+        "instance_io.py",
+        'f"{var}:{bound}"',
+        'f"{bound}:{var}"',
+        (
+            "tests/test_io.py::test_write_signed_formula_of_plain_triples_roundtrips",
         ),
     ),
     Mutant(

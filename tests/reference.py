@@ -30,9 +30,9 @@ from hitpaths.instance_io import (
     certificate_for,
     make_instance,
 )
-from hitpaths.mvsat import GE, BoolCnf, SignedFormula, SignedLiteral
+from hitpaths.mvsat import GE, BoolCnf, SignedFormula
 from hitpaths.oracle import default_cap
-from hitpaths.treecycle import Interval, chain, reach, stab_intervals
+from hitpaths.treecycle import chain, reach, stab_intervals
 
 
 def enumerate_signed(f: SignedFormula, cap: int = 10**8) -> Optional[tuple[int, ...]]:
@@ -49,7 +49,7 @@ def enumerate_signed(f: SignedFormula, cap: int = 10**8) -> Optional[tuple[int, 
     if any(len(c) == 0 for c in f.clauses):
         return None
     # clause index -> checked once its highest variable is assigned
-    by_maxvar: list[list[tuple[SignedLiteral, ...]]] = [[] for _ in range(n + 1)]
+    by_maxvar: list[list[tuple[tuple[int, str, int], ...]]] = [[] for _ in range(n + 1)]
     for clause in f.clauses:
         by_maxvar[max(var for var, _, _ in clause)].append(clause)
 
@@ -281,7 +281,7 @@ def classifying_component_budgets(g: Graph, s, paths) -> list[ComponentData]:
     for ci, comp in enumerate(comps):
         comp_of.update(dict.fromkeys(comp.vertices, ci))
         where.update(zip(comp.vertices, range(1, len(comp.vertices) + 1)))
-    spans: list[list[Interval]] = [[] for _ in comps]
+    spans: list[list[tuple[int, int]]] = [[] for _ in comps]
     covered_by: list[set[int]] = [set() for _ in comps]
     for i, p in enumerate(paths):
         cids = list(map(comp_of.get, p))
@@ -291,7 +291,7 @@ def classifying_component_budgets(g: Graph, s, paths) -> list[ComponentData]:
             count = cids.count(ci)
             if count == len(cids):
                 a, b = where[p[0]], where[p[-1]]
-                spans[ci].append(Interval(a, b) if a <= b else Interval(b, a))
+                spans[ci].append((a, b) if a <= b else (b, a))
             if count == len(comps[ci].vertices):
                 covered_by[ci].add(i)
     out = []

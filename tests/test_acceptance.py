@@ -31,7 +31,6 @@ from hitpaths.reductions import (
     signed3sat_to_fvs2_instance,
     signed3sat_to_subtree_instance,
 )
-from hitpaths.treecycle import Interval
 
 from conftest import random_flower, random_graph, random_signed_formula
 from reference import enumerate_signed, flower_bruteforce, has_k_clique
@@ -74,7 +73,7 @@ def test_criterion_3_canonical_laws():
     for _ in range(total):
         length = rng.randint(1, 10)
         ivs = [
-            Interval(lo, rng.randint(lo, length))
+            (lo, rng.randint(lo, length))
             for lo in (rng.randint(1, length) for _ in range(rng.randint(0, 6)))
         ]
         b = rng.randint(1, 4)

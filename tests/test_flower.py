@@ -6,9 +6,7 @@ import pytest
 from hitpaths import (
     GE,
     LE,
-    Interval,
     SignedFormula,
-    SignedLiteral,
     ValidationError,
     canonical_table,
     fragment_literal,
@@ -22,7 +20,7 @@ from hitpaths.flower import FlowerInstance
 from conftest import random_flower
 from reference import dense_signed_to_classical, eager_canonical_table, flower_bruteforce
 
-PETAL = [Interval(2, 3), Interval(5, 5)]  # on a petal of length 5, budget 2
+PETAL = [(2, 3), (5, 5)]  # on a petal of length 5, budget 2
 
 
 def defined_indices(table):
@@ -47,7 +45,7 @@ def test_canonical_laws_random():
     for _ in range(400):
         length = rng.randint(1, 10)
         ivs = [
-            Interval(lo, rng.randint(lo, length))
+            (lo, rng.randint(lo, length))
             for lo in (rng.randint(1, length) for _ in range(rng.randint(0, 6)))
         ]
         b = rng.randint(1, 4)
@@ -56,7 +54,7 @@ def test_canonical_laws_random():
         for ell in defined:
             sol = table[ell]
             assert min(sol) == ell and len(sol) == b
-            assert all(any(iv.lo <= p <= iv.hi for p in sol) for iv in ivs)
+            assert all(any(lo <= p <= hi for p in sol) for lo, hi in ivs)
         # defined indices are contiguous
         if defined:
             assert defined == list(range(defined[0], defined[-1] + 1))
@@ -67,12 +65,21 @@ def test_canonical_laws_random():
 
 def test_fragment_literals():
     table = canonical_table(5, PETAL, 2)
-    assert fragment_literal(1, Interval(1, 3), table) == SignedLiteral(1, LE, 3)
-    assert fragment_literal(1, Interval(5, 5), table) == SignedLiteral(1, GE, 2)
-    short = canonical_table(3, [Interval(2, 2)], 1)
-    assert fragment_literal(2, Interval(3, 3), short) is None
+    assert fragment_literal(1, (1, 3), table) == (1, LE, 3)
+    assert fragment_literal(1, (5, 5), table) == (1, GE, 2)
+    short = canonical_table(3, [(2, 2)], 1)
+    assert fragment_literal(2, (3, 3), short) is None
     with pytest.raises(ValidationError):
-        fragment_literal(1, Interval(2, 3), table)
+        fragment_literal(1, (2, 3), table)
+
+
+def test_fragment_literal_rejects_out_of_range():
+    # a fragment must lie on the petal: 1 <= lo <= hi <= L
+    table = canonical_table(5, PETAL, 2)
+    for bad in [(0, 5), (-3, 5), (1, 9), (3, 2), (1, 0), (6, 6)]:
+        with pytest.raises(ValidationError, match="out of range"):
+            fragment_literal(1, bad, table)
+    assert fragment_literal(1, (1, 5), table) == (1, LE, 5)
 
 
 def test_make_flower_validation():
@@ -128,14 +135,14 @@ def test_solve_flower_matches_bruteforce_random():
 def rescanning_canonical_solution(petal_length, internal_paths, budget, ell):
     """The earlier canonical_solution, kept as the reference: it rescans
     every interval against every chosen point until all are hit."""
-    if any(iv.hi < ell for iv in internal_paths):
+    if any(hi < ell for _, hi in internal_paths):
         return None
     chosen = {ell}
     while True:
-        unhit = [iv for iv in internal_paths if not any(iv.lo <= p <= iv.hi for p in chosen)]
+        unhit = [(lo, hi) for lo, hi in internal_paths if not any(lo <= p <= hi for p in chosen)]
         if not unhit:
             break
-        chosen.add(min(iv.hi for iv in unhit))
+        chosen.add(min(hi for _, hi in unhit))
     pad = petal_length
     while len(chosen) < budget and pad >= ell:
         chosen.add(pad)
@@ -153,16 +160,16 @@ def random_petal_intervals(rng, length):
         if ivs and shape < 0.2:
             ivs.append(rng.choice(ivs))  # duplicate
         elif ivs and shape < 0.4:
-            outer = rng.choice(ivs)  # nested inside another
-            lo = rng.randint(outer.lo, outer.hi)
-            ivs.append(Interval(lo, rng.randint(lo, outer.hi)))
+            outer_lo, outer_hi = rng.choice(ivs)  # nested inside another
+            lo = rng.randint(outer_lo, outer_hi)
+            ivs.append((lo, rng.randint(lo, outer_hi)))
         elif ivs and shape < 0.6:
-            hi = rng.choice(ivs).hi  # same right end as another
-            ivs.append(Interval(rng.randint(1, hi), hi))
+            _, hi = rng.choice(ivs)  # same right end as another
+            ivs.append((rng.randint(1, hi), hi))
         else:
             top = max(1, length // 3) if left else length
             lo = rng.randint(1, top)
-            ivs.append(Interval(lo, rng.randint(lo, top)))
+            ivs.append((lo, rng.randint(lo, top)))
     return ivs
 
 
@@ -172,7 +179,7 @@ def test_canonical_table_matches_rescanning_reference():
         length = rng.randint(1, 12)
         ivs = random_petal_intervals(rng, length)
         budget = rng.randint(1, length + 1)
-        distinct = [Interval(lo, hi) for lo, hi in sorted({(iv.lo, iv.hi) for iv in ivs})]
+        distinct = sorted(set(ivs))
         for given in (ivs, distinct):
             expected = [None] + [
                 rescanning_canonical_solution(length, given, budget, ell)
@@ -189,7 +196,7 @@ def test_canonical_table_matches_eager_reference():
         length = rng.randint(1, 12)
         ivs = random_petal_intervals(rng, length)
         budget = rng.randint(1, length + 1)
-        distinct = [Interval(lo, hi) for lo, hi in sorted({(iv.lo, iv.hi) for iv in ivs})]
+        distinct = sorted(set(ivs))
         for given in (ivs, distinct):
             slots, first, maxima = eager_canonical_table(length, given, budget)
             table = canonical_table(length, given, budget)
@@ -224,7 +231,7 @@ def classify_by_second_walk(inst):
             if v == inst.core:
                 if run:
                     js = [j for _, j in run]
-                    frags.append((run[0][0], Interval(min(js), max(js))))
+                    frags.append((run[0][0], (min(js), max(js))))
                     run = []
             else:
                 run.append(pos[v])
@@ -265,15 +272,15 @@ def test_make_flower_split_hand_cases():
     # two fragments on one petal, in path order, with the petal reversed
     inst = make_flower(9, [(1, 2, 3), (4, 5)], [1, 1], [(2, 3, 9, 1), (5, 4, 9, 3)])
     assert inst.crossing == (
-        ((0, Interval(2, 3)), (0, Interval(1, 1))),
-        ((1, Interval(1, 2)), (0, Interval(3, 3))),
+        ((0, (2, 3)), (0, (1, 1))),
+        ((1, (1, 2)), (0, (3, 3))),
     )
     assert_split_matches_reference(inst)
     # partial core links: each petal is wired to the core at one end only
     inst = make_flower(9, [(1, 2, 3), (4, 5)], [1, 1], [(3, 9, 4), (9, 4, 5)], core_links={3, 4})
     assert inst.crossing == (
-        ((0, Interval(3, 3)), (1, Interval(1, 1))),
-        ((1, Interval(1, 2)),),
+        ((0, (3, 3)), (1, (1, 1))),
+        ((1, (1, 2)),),
     )
     assert_split_matches_reference(inst)
     with pytest.raises(ValidationError):
@@ -290,26 +297,25 @@ def uncompressed_verdict(inst):
     tables = []
     clauses = []
     for i, petal in enumerate(inst.petals):
-        ivs = [Interval(lo, hi) for lo, hi in inst.internal[i]]
-        table = canonical_table(len(petal), ivs, inst.budgets[i])
+        table = canonical_table(len(petal), inst.internal[i], inst.budgets[i])
         defined = [ell for ell in range(1, len(petal) + 1) if table[ell] is not None]
         if not defined:
             return "NO", "range"
-        clauses.append((SignedLiteral(i + 1, GE, defined[0]),))
-        clauses.append((SignedLiteral(i + 1, LE, defined[-1]),))
+        clauses.append(((i + 1, GE, defined[0]),))
+        clauses.append(((i + 1, LE, defined[-1]),))
         tables.append(table)
     for frags in inst.crossing:
         lits = []
-        for i, iv in frags:
-            if iv.lo == 1:
-                lits.append(SignedLiteral(i + 1, LE, iv.hi))
+        for i, (lo, hi) in frags:
+            if lo == 1:
+                lits.append((i + 1, LE, hi))
                 continue
             reaching = [
                 ell for ell in range(1, len(inst.petals[i]) + 1)
-                if tables[i][ell] is not None and max(tables[i][ell]) >= iv.lo
+                if tables[i][ell] is not None and max(tables[i][ell]) >= lo
             ]
             if reaching:
-                lits.append(SignedLiteral(i + 1, GE, reaching[0]))
+                lits.append((i + 1, GE, reaching[0]))
         if not lits:
             return "NO", "clause"
         clauses.append(tuple(lits))
@@ -338,7 +344,7 @@ def long_petal_flower(rng):
             lo = rng.randint(1, length)
             ivs.append((lo, min(length, lo + rng.randint(0, 6))))
         paths += [petal[lo - 1 : hi] for lo, hi in ivs]
-        opt = stab_intervals(length, [Interval(lo, hi) for lo, hi in ivs])[0]
+        opt = stab_intervals(length, ivs)[0]
         slack = -1 if rng.random() < 0.03 else rng.choice((0, 0, 1, 2))
         budgets.append(min(length, max(1, opt + slack)))
 
@@ -441,7 +447,7 @@ def adjacent_make_flower(core, petals, budgets, paths, core_links=None):
                 i, lo, hi = span(run)
                 if lo != 1 and hi != len(petals[i]):
                     raise AssertionError("core-crossing fragment is not a prefix or suffix")
-                frags.append((i, Interval(lo, hi)))
+                frags.append((i, (lo, hi)))
         crossing.append(tuple(frags))
     return FlowerInstance(
         core, petals, budgets, tuple(frozen_paths), core_links,

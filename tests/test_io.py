@@ -13,7 +13,7 @@ from hitpaths import (
     Graph,
     HitPathsInstance,
     ParseError,
-    SignedLiteral,
+    SignedFormula,
     Solution,
     ValidationError,
     make_instance,
@@ -93,7 +93,7 @@ def test_subgraph_instance_roundtrip():
 def test_parse_formula():
     f = parse_signed_formula("p scnf 2 3 1\n+1:2 -2:1 0\n")
     assert f.num_vars == 2 and f.num_values == 3
-    assert f.clauses == ((SignedLiteral(1, GE, 2), SignedLiteral(2, LE, 1)),)
+    assert f.clauses == (((1, GE, 2), (2, LE, 1)),)
 
 
 def test_parse_formula_errors():
@@ -110,6 +110,13 @@ def test_parse_formula_errors():
 def test_parse_formula_accepts_empty_clause():
     f = parse_signed_formula("p scnf 1 3 1\n0\n")
     assert f.clauses == ((),)
+
+
+def test_write_signed_formula_of_plain_triples_roundtrips():
+    f = SignedFormula(3, 4, (((1, GE, 2), (2, LE, 1)), ((3, LE, 4),), ()))
+    text = write_signed_formula(f)
+    assert text == "p scnf 3 4 3\n+1:2 -2:1 0\n-3:4 0\n0\n"
+    assert parse_signed_formula(text) == f
 
 
 def test_formula_roundtrip_random():
@@ -200,7 +207,7 @@ def test_integers_are_ascii_decimals_only():
     assert inst.paths == ((1, 2, 3),) and inst.t == 0
     assert parse_solution("s 2 +4 007\n").chosen == frozenset({4, 7})
     assert parse_signed_formula("p scnf 2 3 1\n+01:2 -2:+1 0\n").clauses == (
-        (SignedLiteral(1, GE, 2), SignedLiteral(2, LE, 1)),
+        ((1, GE, 2), (2, LE, 1)),
     )
 
 

@@ -13,7 +13,6 @@ from hitpaths import (
     CapExceeded,
     ClauseTooWide,
     SignedFormula,
-    SignedLiteral,
     ValidationError,
     signed_to_classical,
     solve_2sat,
@@ -104,13 +103,13 @@ def test_solve_2sat_models_match_cursor_reference():
 
 
 def test_encoding_single_ge_clause():
-    f = SignedFormula(1, 3, ((SignedLiteral(1, GE, 2),),))
+    f = SignedFormula(1, 3, (((1, GE, 2),),))
     cnf, decode = signed_to_classical(f)
     # one boolean, for the one named threshold: no chain and no unit for x_1 >= 1
     assert cnf == BoolCnf(1, ((1,),))
     assert decode([False, True]) == (2,)
     assert decode([False, False]) == (1,)
-    two = SignedFormula(1, 3, ((SignedLiteral(1, GE, 3),), (SignedLiteral(1, LE, 1),)))
+    two = SignedFormula(1, 3, (((1, GE, 3),), ((1, LE, 1),)))
     cnf, decode = signed_to_classical(two)
     # [x_1 >= 2] is boolean 1 and [x_1 >= 3] boolean 2, linked by one chain clause
     assert cnf == BoolCnf(2, ((2,), (-1,), (-2, 1)))
@@ -122,8 +121,8 @@ def test_encoding_drops_trivial_le():
         2,
         3,
         (
-            (SignedLiteral(1, LE, 3),),
-            (SignedLiteral(1, GE, 2), SignedLiteral(2, GE, 1)),
+            ((1, LE, 3),),
+            ((1, GE, 2), (2, GE, 1)),
         ),
     )
     cnf, decode = signed_to_classical(f)
@@ -140,16 +139,16 @@ def test_encoding_propagates_empty_clause():
 
 
 def test_encoding_rejects_wide_clauses():
-    wide = SignedFormula(1, 2, ((SignedLiteral(1, GE, 1),) * 3,))
+    wide = SignedFormula(1, 2, (((1, GE, 1),) * 3,))
     with pytest.raises(ClauseTooWide):
         signed_to_classical(wide)
 
 
 def test_tors2sat_examples():
-    f = SignedFormula(2, 3, ((SignedLiteral(1, GE, 2), SignedLiteral(2, LE, 1)),))
+    f = SignedFormula(2, 3, (((1, GE, 2), (2, LE, 1)),))
     assert solve_tors2sat(f) is not None
     contradiction = SignedFormula(
-        1, 3, ((SignedLiteral(1, GE, 2),), (SignedLiteral(1, LE, 1),))
+        1, 3, (((1, GE, 2),), ((1, LE, 1),))
     )
     assert solve_tors2sat(contradiction) is None
     empty = SignedFormula(3, 4, ())
@@ -166,7 +165,7 @@ def test_tors2sat_takes_plain_triples():
 
 
 def test_signed_formula_rejects_each_bad_literal():
-    for lit in [(1, GE, 1), (2, LE, 3), SignedLiteral(2, GE, 3)]:  # the extremes are in range
+    for lit in [(1, GE, 1), (2, LE, 3), (2, GE, 3)]:  # the extremes are in range
         assert SignedFormula(2, 3, ((lit,),)).clauses == ((lit,),)
     for lit, message in [
         ((0, GE, 1), "variable x_0 out of range"),
@@ -241,9 +240,9 @@ def test_wide_domain_encoding_is_linear_in_the_formula():
         3,
         10**5,
         (
-            (SignedLiteral(1, GE, 50000), SignedLiteral(2, LE, 10)),
-            (SignedLiteral(2, GE, 11),),
-            (SignedLiteral(3, LE, 7), SignedLiteral(1, LE, 3)),
+            ((1, GE, 50000), (2, LE, 10)),
+            ((2, GE, 11),),
+            ((3, LE, 7), (1, LE, 3)),
         ),
     )
     t0 = time.perf_counter()
@@ -254,15 +253,15 @@ def test_wide_domain_encoding_is_linear_in_the_formula():
 
 
 def test_enumerate_examples():
-    f = SignedFormula(1, 2, ((SignedLiteral(1, GE, 2), SignedLiteral(1, LE, 1)),))
+    f = SignedFormula(1, 2, (((1, GE, 2), (1, LE, 1)),))
     assert enumerate_signed(f) == (1,)
     unsat = SignedFormula(
         2,
         2,
         (
-            (SignedLiteral(1, GE, 2),),
-            (SignedLiteral(2, GE, 2),),
-            (SignedLiteral(1, LE, 1), SignedLiteral(2, LE, 1)),
+            ((1, GE, 2),),
+            ((2, GE, 2),),
+            ((1, LE, 1), (2, LE, 1)),
         ),
     )
     assert enumerate_signed(unsat) is None

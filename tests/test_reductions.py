@@ -10,12 +10,13 @@ from hitpaths import (
     Graph,
     InfeasibleConfig,
     SignedFormula,
-    SignedLiteral,
     TooFewEdges,
     cyclomatic_number,
     high_degree_set,
     make_instance,
+    parse_signed_formula,
     write_instance,
+    write_signed_formula,
 )
 from hitpaths.graph import path_components
 from hitpaths.oracle import SetSystem, exact_min_hitting_set
@@ -80,11 +81,11 @@ def sat3_cases():
     cases = [
         SignedFormula(1, 1, ()),
         SignedFormula(1, 2, ((),)),
-        SignedFormula(2, 3, ((SignedLiteral(1, GE, 2), SignedLiteral(2, LE, 1)),)),
+        SignedFormula(2, 3, (((1, GE, 2), (2, LE, 1)),)),
         # same-sign duplicate literals on one variable
-        SignedFormula(1, 4, ((SignedLiteral(1, GE, 2), SignedLiteral(1, GE, 4)),)),
+        SignedFormula(1, 4, (((1, GE, 2), (1, GE, 4)),)),
         SignedFormula(
-            1, 3, ((SignedLiteral(1, GE, 3),), (SignedLiteral(1, LE, 1),))
+            1, 3, (((1, GE, 3),), ((1, LE, 1),))
         ),
     ]
     cases += [random_signed_formula(rng, 3, 4, 3) for _ in range(80)]
@@ -98,6 +99,23 @@ def test_sat3_reductions_preserve_satisfiability(builder):
         assert inst.t == f.num_vars
         want = enumerate_signed(f) is not None
         assert hitting_feasible(inst) == want
+
+
+def test_constructions_read_and_write_plain_triples():
+    built = SignedFormula(
+        3, 4, (((1, GE, 2), (2, LE, 1), (3, GE, 4)), ((1, LE, 3), (1, GE, 2)), ((2, GE, 2),))
+    )
+    text = "p scnf 3 4 3\n+1:2 -2:1 +3:4 0\n-1:3 +1:2 0\n+2:2 0\n"
+    rng = random.Random(89)
+    pairs = [(built, parse_signed_formula(text))]
+    for f in [random_signed_formula(rng, 3, 4, 3) for _ in range(20)]:
+        pairs.append((f, parse_signed_formula(write_signed_formula(f))))
+    for f, parsed in pairs:
+        for builder in (signed3sat_to_subtree_instance, signed3sat_to_fvs2_instance):
+            assert builder(f) == builder(parsed)
+    clique = clique_to_signed3sat(Graph.build(4, [(1, 2), (1, 3), (2, 3), (3, 4)]), 3)
+    assert all(type(lit) is tuple for clause in clique.clauses for lit in clause)
+    assert parse_signed_formula(write_signed_formula(clique)) == clique
 
 
 def test_fvs2_outputs_have_feedback_pair():

@@ -1,10 +1,8 @@
 import random
-import re
 
 import pytest
 
 from hitpaths import (
-    Interval,
     ValidationError,
     hit_paths_in_cycle,
     stab_intervals,
@@ -15,13 +13,13 @@ from conftest import brute_min_hitting, covers
 
 
 def brute_stab(length, intervals):
-    return brute_min_hitting(length, [set(range(iv.lo, iv.hi + 1)) for iv in intervals])
+    return brute_min_hitting(length, [set(range(lo, hi + 1)) for lo, hi in intervals])
 
 
 def test_stab_examples():
     assert stab_intervals(5, []) == (0, frozenset())
-    assert stab_intervals(5, [Interval(1, 2), Interval(2, 3)]) == (1, frozenset({2}))
-    assert stab_intervals(5, [Interval(1, 2), Interval(4, 5)]) == (2, frozenset({2, 5}))
+    assert stab_intervals(5, [(1, 2), (2, 3)]) == (1, frozenset({2}))
+    assert stab_intervals(5, [(1, 2), (4, 5)]) == (2, frozenset({2, 5}))
 
 
 def test_pad_adds_the_highest_unused_positions():
@@ -35,29 +33,21 @@ def test_pad_adds_the_highest_unused_positions():
 
 def test_stab_rejects_out_of_range():
     with pytest.raises(ValidationError):
-        stab_intervals(3, [Interval(2, 4)])
+        stab_intervals(3, [(2, 4)])
     with pytest.raises(ValidationError):
-        Interval(3, 2)
-
-
-def test_interval_make_and_replace_run_the_check():
-    with pytest.raises(ValidationError, match=re.escape("interval [5,2] is reversed")):
-        Interval._make((5, 2))
-    with pytest.raises(ValidationError, match=re.escape("interval [3,2] is reversed")):
-        Interval(1, 2)._replace(lo=3)
-    assert Interval(1, 2)._replace(hi=4) == (1, 4) and type(Interval._make([2, 2])) is Interval
+        stab_intervals(3, [(3, 2)])
 
 
 def test_stab_matches_bruteforce_exhaustive():
     # all interval families over a short line
     length = 6
-    all_ivs = [Interval(lo, hi) for lo in range(1, length + 1) for hi in range(lo, length + 1)]
+    all_ivs = [(lo, hi) for lo in range(1, length + 1) for hi in range(lo, length + 1)]
     rng = random.Random(3)
     for _ in range(300):
         ivs = rng.sample(all_ivs, rng.randint(0, 6))
         size, pts = stab_intervals(length, ivs)
         assert size == brute_stab(length, ivs)
-        assert all(any(iv.lo <= p <= iv.hi for p in pts) for iv in ivs)
+        assert all(any(lo <= p <= hi for p in pts) for lo, hi in ivs)
 
 
 def test_cycle_examples():
@@ -102,10 +92,10 @@ def sorting_greedy(length, intervals):
     and pick the right end of every interval the last pick misses."""
     picked = []
     last = 0
-    for iv in sorted(intervals, key=lambda iv: (iv.hi, iv.lo)):
-        if iv.lo > last:
-            picked.append(iv.hi)
-            last = iv.hi
+    for lo, hi in sorted(intervals, key=lambda iv: (iv[1], iv[0])):
+        if lo > last:
+            picked.append(hi)
+            last = hi
     return len(picked), frozenset(picked)
 
 
@@ -118,7 +108,7 @@ def trying_every_vertex(cycle_length, arcs):
     best = None
     for v in range(1, cycle_length + 1):
         ivs = [
-            Interval((start - v) % cycle_length, (start - v) % cycle_length + span - 1)
+            ((start - v) % cycle_length, (start - v) % cycle_length + span - 1)
             for start, span in arcs
             if not covers((start, span), v, cycle_length)
         ]
@@ -138,21 +128,21 @@ def random_line_family(rng, length):
         if ivs and shape < 0.2:
             ivs.append(rng.choice(ivs))  # duplicate
         elif ivs and shape < 0.4:
-            outer = rng.choice(ivs)  # nested inside another
-            lo = rng.randint(outer.lo, outer.hi)
-            ivs.append(Interval(lo, rng.randint(lo, outer.hi)))
+            outer_lo, outer_hi = rng.choice(ivs)  # nested inside another
+            lo = rng.randint(outer_lo, outer_hi)
+            ivs.append((lo, rng.randint(lo, outer_hi)))
         elif ivs and shape < 0.55:
-            hi = rng.choice(ivs).hi  # same right end as another
-            ivs.append(Interval(rng.randint(1, hi), hi))
+            _, hi = rng.choice(ivs)  # same right end as another
+            ivs.append((rng.randint(1, hi), hi))
         elif ivs and shape < 0.7:
-            lo = rng.choice(ivs).lo  # same left end as another
-            ivs.append(Interval(lo, rng.randint(lo, length)))
+            lo, _ = rng.choice(ivs)  # same left end as another
+            ivs.append((lo, rng.randint(lo, length)))
         elif shape < 0.8:
             p = rng.randint(1, length)
-            ivs.append(Interval(p, p))
+            ivs.append((p, p))
         else:
             lo = rng.randint(1, length)
-            ivs.append(Interval(lo, rng.randint(lo, length)))
+            ivs.append((lo, rng.randint(lo, length)))
     return ivs
 
 
