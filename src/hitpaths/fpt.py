@@ -2,12 +2,12 @@
 
 Pipeline: strip degree-<=1 vertices (forcing those demanded by singleton
 targets), bridge components, dispatch simple cycles to the cycle solver,
-and otherwise branch over which high-degree vertices join the solution and
-which path components get their optimum budget versus optimum+1. A branch
-that puts every high-degree vertex into the solution is filled greedily
-per component; every other surviving branch becomes an exact-budget flower
-instance solved via signed 2-SAT. The first successful branch yields the
-answer.
+lay every target out across the high-degree vertices S once, and branch
+over which vertices of S join the solution and which path components get
+their optimum budget versus optimum+1. A branch that puts all of S into
+the solution is filled greedily per component; every other surviving
+branch is read off the layout as an exact-budget flower instance, solved
+via signed 2-SAT. The first successful branch yields the answer.
 """
 
 from __future__ import annotations
@@ -127,107 +127,116 @@ class ComponentData(NamedTuple):
     component: PathComponent
     opt: int
     greedy: frozenset[int]  # positions of an optimum piercing of its targets
-    covered_by: frozenset[int]  # indices of the targets holding all its vertices
 
 
-def component_budgets(comps: list[PathComponent], s, paths) -> list[ComponentData]:
+class BranchLayout(NamedTuple):  # component_budgets' result, read by every branch of a solve
+    comps: list[ComponentData]
+    ends: list[tuple[tuple[int, ...], int, int]]  # per component: vertices, attachments' S-bits
+    # per target: S-mask (bit i for s[i]), mask of the components it holds whole, indices
+    # of its first and last S-vertex (-1 if none), runs as (component, (lo, hi)), itself
+    targets: list[tuple]
+
+
+def component_budgets(comps: list[PathComponent], s, paths) -> BranchLayout:
     """Per component of path_components' walk: its internal targets and
-    their piercing optimum.
+    their piercing optimum; per target, its layout across S.
 
     Budget candidates for the branching step are {opt, opt + 1}. The one
     walk over the targets reads each vertex's component and 1-based position
-    from one map and records which targets cover each component whole, for
-    build_flower_branch, which must be given the same `paths`.
+    from one map and cuts a target at the sorted positions of its S-vertices
+    into runs outside S. A run must be its component's stretch between its
+    ends' positions, read either way, and step into S only from the end
+    attached to the S-vertex beside it, else FlowerShapeViolation is raised
+    before any branch: a run between S-vertices holds its component whole,
+    and a first or last run is a prefix or a suffix.
     """
-    s = set(s)
-    at = {v: (ci, q) for ci, comp in enumerate(comps) for q, v in enumerate(comp.vertices, 1)}
-    spans: list[list[tuple[int, int]]] = [[] for _ in comps]
-    covered_by: list[set[int]] = [set() for _ in comps]
-    for i, p in enumerate(paths):
-        if s.isdisjoint(p):
-            # a target inside an induced path runs from one end to the other
-            ci, a = at[p[0]]
-            b = at[p[-1]][1]
-            spans[ci].append((a, b) if a <= b else (b, a))
-            if len(p) == len(comps[ci].vertices):
-                covered_by[ci].add(i)
+    s, bit = set(s), {v: 1 << i for i, v in enumerate(s)}
+    verts = [c.vertices for c in comps]
+    at = {v: (ci, q) for ci, vs in enumerate(verts) for q, v in enumerate(vs, 1)}
+    links = {(c.attach_left, c.vertices[0]) for c in comps}  # the edges from S into G - S
+    links |= {(c.attach_right, c.vertices[-1]) for c in comps}
+    spans, targets = [[] for _ in comps], []  # per component: its internal targets' spans
+
+    def run(p, a: int, b: int) -> tuple[int, tuple[int, int]]:
+        """(component, (lo, hi)) of the checked run p[a:b]."""
+        (ci, x), (cj, y) = at[p[a]], at[p[b - 1]]
+        lo, hi = (x, y) if x <= y else (y, x)
+        stretch = verts[ci][lo - 1 : hi]
+        if ci != cj or p[a:b] != (stretch if x <= y else stretch[::-1]) or (
+            a and (p[a - 1], p[a]) not in links or b < len(p) and (p[b], p[b - 1]) not in links
+        ):
+            raise FlowerShapeViolation(f"target {p} does not run along G - S")
+        return ci, (lo, hi)
+
+    for p in paths:
+        hits = s.intersection(p)
+        if not hits:  # a target inside an induced path runs from one end to the other
+            ci, span = r = run(p, 0, len(p))
+            spans[ci].append(span)
+            targets.append((0, (len(p) == len(verts[ci])) << ci, -1, -1, (r,), p))
             continue
-        # the runs of p outside s, each inside one component, as p[a:b]:
-        # cut at the sorted positions of p's S-vertices, len(p) closing the last
-        inside: dict[int, int] = {}  # component -> vertices of p in it
-        a = 0
-        for b in [*sorted(map(p.index, s.intersection(p))), len(p)]:
+        # the runs p[a:b] between the sorted positions of S-vertices, len(p) closing the last
+        cuts = sorted(map(p.index, hits))
+        runs, inside, a = [], {}, 0  # inside: component -> vertices of p in it
+        for b in [*cuts, len(p)]:
             if a < b:
-                ci = at[p[a]][0]
+                ci, _ = r = run(p, a, b)
+                runs.append(r)
                 inside[ci] = inside.get(ci, 0) + b - a
             a = b + 1
-        for ci, count in inside.items():
-            if count == len(comps[ci].vertices):
-                covered_by[ci].add(i)
-    out = []
-    for comp, comp_spans, cover in zip(comps, spans, covered_by):
-        opt, pts = stab_intervals(len(comp.vertices), comp_spans)
-        out.append(ComponentData(comp, opt, pts, frozenset(cover)))
-    return out
+        cover = sum(1 << ci for ci, count in inside.items() if count == len(verts[ci]))
+        smask = sum(map(bit.__getitem__, hits))
+        targets.append((smask, cover, cuts[0], cuts[-1], tuple(runs), p))
+    out = [ComponentData(c, *stab_intervals(len(c.vertices), sp)) for c, sp in zip(comps, spans)]
+    ends = [(c.vertices, bit[c.attach_left], bit[c.attach_right]) for c in comps]
+    return BranchLayout(out, ends, targets)
 
 
-def build_flower_branch(
-    s: list[int],
-    comps: list[ComponentData],
-    budgets: list[int],
-    s_prime: set[int],
-    paths,
-    core_id: int,
-) -> FlowerInstance:
-    """Turn one (S', budgets) guess into a flower instance.
+def build_flower_branch(layout: BranchLayout, budgets, s_mask: int, core_id: int) -> FlowerInstance:
+    """Turn one (S', budgets) guess, S' given by its mask over s, into a
+    flower instance read off the solve's layout.
 
-    Delete S' and the targets it hits, drop targets that fully contain a
-    positive-budget component, delete zero-budget components while shaving
-    their vertices out of the targets, and finally identify the remaining
-    high-degree vertices into the core. S' must leave at least one vertex
-    of S for the core. `paths` must be the list component_budgets was given,
-    whose `covered_by` indices tell which targets cover a component. A
-    target's core vertices, contiguous once the deleted vertices are gone,
-    are contracted by slicing.
+    Zero-budget components are deleted and the rest become petals. A target
+    that S' hits or that holds a whole petal is dropped. Any other target
+    through S keeps the core and those of its first and last runs that lie
+    on petals: its runs between S-vertices hold their components whole, so
+    they are deleted, and its S-vertices contract to the core. S' must leave
+    a vertex of S for the core. A target inside a deleted component would be
+    emptied; make_flower names it.
     """
-    core_set = set(s) - s_prime
-    dead = set()  # vertices of zero-budget components
-    covered: set[int] = set()  # targets holding a whole positive-budget component
-    petals = []
-    petal_budgets = []
-    links = set()
-    for cd, budget in zip(comps, budgets):
-        comp = cd.component
-        vertices = comp.vertices
-        if budget == 0:
-            dead.update(vertices)
+    _, ends, targets = layout
+    petal_of = []  # per component: its petal's index, or -1 if deleted
+    petals, petal_budgets, links, live = [], [], [], 0  # live: the petals' component mask
+    for ci, ((vertices, left, right), budget) in enumerate(zip(ends, budgets)):
+        petal_of.append(len(petals) if budget else -1)
+        if budget:
+            live |= 1 << ci
+            petals.append(vertices)
+            petal_budgets.append(budget)
+            if not left & s_mask:
+                links.append(vertices[0])
+            if not right & s_mask:
+                links.append(vertices[-1])
+    paths, internal, crossing = [], [[] for _ in petals], []
+    for smask, cover, first, last, runs, p in targets:
+        if smask & s_mask or cover & live:
             continue
-        covered |= cd.covered_by
-        petals.append(vertices)
-        petal_budgets.append(budget)
-        if comp.attach_left in core_set:
-            links.add(vertices[0])
-        if comp.attach_right in core_set:
-            links.add(vertices[-1])
-
-    flower_paths = []
-    for i, p in enumerate(paths):
-        if i in covered or not s_prime.isdisjoint(p):
-            continue
-        if not dead.isdisjoint(p):
-            p = [v for v in p if v not in dead]
-        if not core_set.isdisjoint(p):
-            marks = list(map(core_set.__contains__, p))
-            first = marks.index(True)
-            end = first + marks.count(True)
-            if not all(marks[first:end]):
-                raise FlowerShapeViolation("target collapses onto the core more than once")
-            p = [*p[:first], core_id, *p[end:]]
-        flower_paths.append(p)
-    try:
-        return make_flower(core_id, petals, petal_budgets, flower_paths, links)
-    except ValidationError as exc:
-        raise FlowerShapeViolation(str(exc)) from exc
+        if smask:  # through the core: it keeps the end runs that lie on petals
+            h = petal_of[runs[0][0]] if first else -1
+            t = petal_of[runs[-1][0]] if last + 1 < len(p) else -1
+            frags = ((h, runs[0][1]),) if h >= 0 else ()
+            crossing.append(frags + ((t, runs[-1][1]),) if t >= 0 else frags)
+            p = (p[:first] if h >= 0 else ()) + (core_id,) + (p[last + 1 :] if t >= 0 else ())
+        elif petal_of[runs[0][0]] < 0:  # emptied: make_flower rejects it by its index
+            try:
+                make_flower(core_id, petals, petal_budgets, [*paths, ()], links)
+            except ValidationError as exc:
+                raise FlowerShapeViolation(str(exc)) from exc
+        else:
+            internal[petal_of[runs[0][0]]].append(runs[0][1])
+        paths.append(p)
+    return FlowerInstance(core_id, tuple(petals), tuple(petal_budgets), tuple(paths),
+                          frozenset(links), tuple(map(tuple, internal)), tuple(crossing))
 
 
 def _fill_component(cd: ComponentData, budget: int) -> set[int]:
@@ -279,7 +288,8 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
     if not s:  # connected with minimum degree 2: a simple cycle
         return _solve_cycle(inst, pre, walk[0].vertices, paths)
 
-    comps = component_budgets(walk, s, paths)
+    layout = component_budgets(walk, s, paths)
+    comps = layout.comps
     stats.high_degree = len(s)
     stats.components = len(comps)
 
@@ -315,7 +325,7 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
                     if budgets[ci] > 0:
                         chosen |= _fill_component(cd, budgets[ci])
             else:
-                branch = build_flower_branch(s, comps, budgets, s_prime, paths, core_id)
+                branch = build_flower_branch(layout, budgets, s_mask, core_id)
                 stats.flower_calls += 1
                 fsol = solve_flower(branch)
                 if fsol.verdict != "YES":

@@ -159,8 +159,8 @@ MUTANTS = (
     Mutant(
         "a run cut drops the run after the last S-vertex",
         "fpt.py",
-        "[*sorted(map(p.index, s.intersection(p))), len(p)]",
-        "sorted(map(p.index, s.intersection(p)))",
+        "        for b in [*cuts, len(p)]:\n",
+        "        for b in cuts:\n",
         (
             "tests/test_fpt.py::test_component_budgets_cuts_targets_at_their_s_vertices",
             "tests/test_fpt.py::test_component_budgets_matches_classifying_reference",
@@ -169,8 +169,8 @@ MUTANTS = (
     Mutant(
         "an internal target never covers its component",
         "fpt.py",
-        "            if len(p) == len(comps[ci].vertices):\n",
-        "            if False:\n",
+        "(len(p) == len(verts[ci])) << ci",
+        "0",
         (
             "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
             "tests/test_fpt.py::test_component_budgets_matches_classifying_reference",
@@ -179,11 +179,50 @@ MUTANTS = (
     Mutant(
         "an internal target's span keeps its ends in target order",
         "fpt.py",
-        "(a, b) if a <= b else (b, a)",
-        "(a, b)",
+        "lo, hi = (x, y) if x <= y else (y, x)",
+        "lo, hi = x, y",
         (
             "tests/test_fpt.py::test_solver_matches_oracle_random",
             "tests/test_fpt.py::test_component_budgets_matches_classifying_reference",
+        ),
+    ),
+    Mutant(
+        "a branch keeps the targets that S' hits",
+        "fpt.py",
+        "        if smask & s_mask or cover & live:\n",
+        "        if cover & live:\n",
+        (
+            "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
+            "tests/test_fpt.py::test_solver_matches_oracle_random",
+        ),
+    ),
+    Mutant(
+        "a branch keeps the fragment of a deleted component",
+        "fpt.py",
+        "frags = ((h, runs[0][1]),) if h >= 0 else ()",
+        "frags = ((h, runs[0][1]),) if first else ()",
+        (
+            "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
+            "tests/test_fpt.py::test_solver_matches_oracle_random",
+        ),
+    ),
+    Mutant(
+        "a crossing target's fragments in reverse path order",
+        "fpt.py",
+        "crossing.append(frags + ((t, runs[-1][1]),) if t >= 0 else frags)",
+        "crossing.append(((t, runs[-1][1]),) + frags if t >= 0 else frags)",
+        (
+            "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
+        ),
+    ),
+    Mutant(
+        "the layout's attach check accepts any end",
+        "fpt.py",
+        "            a and (p[a - 1], p[a]) not in links or b < len(p) and (p[b], p[b - 1]) not in links\n",
+        "            False\n",
+        (
+            "tests/test_fpt.py::test_component_budgets_cuts_targets_at_their_s_vertices",
+            "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
         ),
     ),
     Mutant(

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 from hitpaths.errors import CapExceeded, ClauseTooWide, ParseError, ValidationError
 from hitpaths.errors import InvariantViolation
 from hitpaths.flower import FlowerInstance
-from hitpaths.fpt import ComponentData
 from hitpaths.graph import Graph, path_components
 from hitpaths.instance_io import (
     KIND_PATHS,
@@ -272,9 +271,11 @@ def eager_canonical_table(petal_length: int, internal_paths, budget: int):
     return slots, first, maxima
 
 
-def classifying_component_budgets(g: Graph, s, paths) -> list[ComponentData]:
+def classifying_component_budgets(g: Graph, s, paths) -> list[tuple]:
     """The earlier component_budgets, which looks up the component of every
-    target vertex and counts each component's share with list.count."""
+    target vertex and counts each component's share with list.count. Per
+    component: the component, its opt, its greedy positions and the indices
+    of the targets holding all its vertices."""
     comps = path_components(g, set(s))
     comp_of = {}
     where = {}
@@ -297,7 +298,7 @@ def classifying_component_budgets(g: Graph, s, paths) -> list[ComponentData]:
     out = []
     for comp, comp_spans, cover in zip(comps, spans, covered_by):
         opt, pts = stab_intervals(len(comp.vertices), comp_spans)
-        out.append(ComponentData(comp, opt, pts, frozenset(cover)))
+        out.append((comp, opt, pts, frozenset(cover)))
     return out
 
 

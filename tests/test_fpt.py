@@ -116,22 +116,22 @@ def test_residual_keeps_input_ids_through_a_flower_branch():
 def test_component_budgets_on_c4_chord():
     s = high_degree_set(C4_CHORD)
     assert s == [1, 3]
-    comps = component_budgets(path_components(C4_CHORD, set(s)), s, [(2,)])
+    comps = component_budgets(path_components(C4_CHORD, set(s)), s, [(2,)]).comps
     assert [cd.component.vertices for cd in comps] == [(2,), (4,)]
     assert [cd.opt for cd in comps] == [1, 0]
 
 
 def test_build_flower_branch_shapes():
     s = [1, 3]
-    comps = component_budgets(path_components(C4_CHORD, set(s)), s, [(2,), (4,)])
-    flower = build_flower_branch(s, comps, [1, 1], set(), [(2,), (4,)], 5)
+    layout = component_budgets(path_components(C4_CHORD, set(s)), s, [(2,), (4,)])
+    flower = build_flower_branch(layout, [1, 1], 0, 5)
     assert isinstance(flower, FlowerInstance)
     assert flower.core == 5 and flower.petals == ((2,), (4,))
 
     # a target inside a zero-budget component would be emptied; solve never
     # builds such a branch, and the flower check refuses it
     with pytest.raises(FlowerShapeViolation):
-        build_flower_branch(s, comps, [1, 0], set(), [(2,), (4,)], 5)
+        build_flower_branch(layout, [1, 0], 0, 5)
 
 
 def test_solve_triangle():
@@ -598,6 +598,9 @@ def rebuilding_flower_branch(s, comps, budgets, s_prime, paths, core_id):
         raise FlowerShapeViolation(str(exc)) from exc
 
 
+COLLAPSE = "target collapses onto the core more than once"
+
+
 def branch_outcome(build, *args):
     try:
         return build(*args)
@@ -607,9 +610,13 @@ def branch_outcome(build, *args):
 
 def test_flower_branch_matches_rebuilding_reference():
     # every branch solve enumerates, plus per S' one budget vector that
-    # zeroes random components (emptying their internal targets) and, at
-    # times, a target that jumps between core vertices over one vertex of
-    # a longer component, so that both FlowerShapeViolation causes occur
+    # zeroes random components (emptying their internal targets), built
+    # from the solve's layout and by the reference. At times a target that
+    # jumps between two S-vertices over one vertex of G - S is injected: it
+    # is not a path of G, so the once-per-solve check rejects it unless that
+    # vertex is a whole component attached to both. The branches are
+    # compared without a rejected target, and the reference is also run with
+    # it, where it collapses onto the core more than once.
     rng = random.Random(103)
     residuals = 0
     outcomes = Counter()
@@ -632,11 +639,23 @@ def test_flower_branch_matches_rebuilding_reference():
         residuals += 1
         paths = list(pre.paths)
         inner = [v for v in g.vertices() if v not in s]
+        injected = None
         if len(s) > 1 and inner and rng.random() < 0.3:
             a, b = rng.sample(s, 2)
-            paths.insert(rng.randint(0, len(paths)), (a, rng.choice(inner), b))
-        comps = component_budgets(path_components(g, set(s)), s, paths)
+            injected = (a, rng.choice(inner), b)
+            paths.insert(rng.randint(0, len(paths)), injected)
+        walk = path_components(g, set(s))
         core_id = inst.graph.n + 1  # the residual keeps the input's ids
+        rejected = None  # the targets with the one the layout rejects
+        try:
+            layout = component_budgets(walk, s, paths)
+        except FlowerShapeViolation as exc:
+            assert "does not run along G - S" in str(exc)
+            rejected = list(paths)
+            paths.remove(injected)
+            layout = component_budgets(walk, s, paths)
+            outcomes["rejected before any branch"] += 1
+        comps = layout.comps
         for s_mask in range((1 << len(s)) - 1):  # S' must leave a core
             s_prime = {v for i, v in enumerate(s) if s_mask >> i & 1}
             branches = [
@@ -645,15 +664,19 @@ def test_flower_branch_matches_rebuilding_reference():
             ]
             branches.append([rng.choice([0, cd.opt, cd.opt + 1]) for cd in comps])
             for budgets in branches:
-                args = (s, comps, budgets, s_prime, paths, core_id)
-                want = branch_outcome(rebuilding_flower_branch, *args)
-                assert branch_outcome(build_flower_branch, *args) == want
+                want = branch_outcome(rebuilding_flower_branch, s, comps, budgets, s_prime, paths,
+                                      core_id)
+                assert branch_outcome(build_flower_branch, layout, budgets, s_mask, core_id) == want
+                if rejected and branch_outcome(rebuilding_flower_branch, s, comps, budgets,
+                                               s_prime, rejected, core_id) == COLLAPSE:
+                    outcomes[COLLAPSE] += 1
                 if isinstance(want, str):  # named by cause, not by target
                     outcomes[re.sub(r"^path \d+ ", "", want)] += 1
                 else:
                     outcomes["flower"] += 1
     assert outcomes["flower"] > 5000, outcomes
-    assert outcomes["target collapses onto the core more than once"] > 100, outcomes
+    assert outcomes["rejected before any branch"] > 100, outcomes
+    assert outcomes[COLLAPSE] > 100, outcomes
     assert outcomes["is empty or repeats a vertex"] > 100, outcomes
 
 
@@ -714,12 +737,18 @@ def random_walk_targets(rng, g, count):
     return targets
 
 
+def covered_by(layout):
+    """Per component: the indices of the targets holding all its vertices."""
+    return [
+        frozenset(i for i, target in enumerate(layout.targets) if target[1] >> ci & 1)
+        for ci in range(len(layout.comps))
+    ]
+
+
 def assert_same_budgets(g, s, paths):
     got = component_budgets(path_components(g, set(s)), s, paths)
     want = classifying_component_budgets(g, s, paths)
-    assert [(cd.component, cd.opt, cd.greedy, cd.covered_by) for cd in got] == [
-        (cd.component, cd.opt, cd.greedy, cd.covered_by) for cd in want
-    ]
+    assert [(*cd, cover) for cd, cover in zip(got.comps, covered_by(got))] == want
     return got
 
 
@@ -730,22 +759,40 @@ THETA = Graph.build(7, [(1, 2), (1, 3), (3, 4), (4, 2), (1, 5), (5, 6), (6, 2), 
 def test_component_budgets_cuts_targets_at_their_s_vertices():
     s = high_degree_set(THETA)
     assert s == [1, 2]
-    for target, covers in [  # covers: the components the target holds whole
-        ((1, 3, 4), {0}),  # starts on an S-vertex
-        ((5, 6, 2), {1}),  # ends on one
-        ((1, 3, 4, 2), {0}),  # both
-        ((3, 1, 2, 4), {0}),  # two adjacent S-vertices: an empty run between them
-        ((4, 3, 1, 2, 6), {0}),
-        ((3, 1, 5, 6, 2, 4), {0, 1}),  # leaves (3, 4) through S and re-enters it
-        ((3, 1, 7, 2, 4), {0, 2}),
-        ((7, 1, 5, 6, 2), {1, 2}),
-        ((3, 1, 7), {2}),
-        ((1, 2), set()),  # no run at all
-        ((2,), set()),
+    a, b, c = (1, 2), (2, 2), (1, 1)  # spans of 2-vertex components; c also (7,)'s
+    for target, covers, smask, first, last, runs in [
+        # covers: the components the target holds whole; smask: bit 1 for
+        # S-vertex 1, bit 2 for 2; first and last: its first and last
+        # S-vertex's index; runs: (component, span) in target order
+        ((1, 3, 4), {0}, 1, 0, 0, [(0, a)]),  # starts on an S-vertex
+        ((5, 6, 2), {1}, 2, 2, 2, [(1, a)]),  # ends on one
+        ((1, 3, 4, 2), {0}, 3, 0, 3, [(0, a)]),  # both
+        # two adjacent S-vertices: an empty run between them
+        ((3, 1, 2, 4), {0}, 3, 1, 2, [(0, c), (0, b)]),
+        ((4, 3, 1, 2, 6), {0}, 3, 2, 3, [(0, a), (1, b)]),
+        # leaves (3, 4) through S and re-enters it
+        ((3, 1, 5, 6, 2, 4), {0, 1}, 3, 1, 4, [(0, c), (1, a), (0, b)]),
+        ((3, 1, 7, 2, 4), {0, 2}, 3, 1, 3, [(0, c), (2, c), (0, b)]),
+        ((7, 1, 5, 6, 2), {1, 2}, 3, 1, 4, [(2, c), (1, a)]),
+        ((3, 1, 7), {2}, 1, 1, 1, [(0, c), (2, c)]),
+        ((1, 2), set(), 3, 0, 1, []),  # no run at all
+        ((2,), set(), 2, 0, 0, []),
     ]:
-        comps = assert_same_budgets(THETA, s, [(4,), target, (5, 6)])
-        assert [cd.component.vertices for cd in comps] == [(3, 4), (5, 6), (7,)]
-        assert {ci for ci, cd in enumerate(comps) if 1 in cd.covered_by} == covers, target
+        layout = assert_same_budgets(THETA, s, [(4,), target, (5, 6)])
+        assert [cd.component.vertices for cd in layout.comps] == [(3, 4), (5, 6), (7,)]
+        assert {ci for ci, cover in enumerate(covered_by(layout)) if 1 in cover} == covers, target
+        assert layout.targets == [
+            (0, 0, -1, -1, ((0, b),), (4,)),  # inside one component: no S-vertex
+            (smask, sum(1 << ci for ci in covers), first, last, tuple(runs), target),
+            (0, 2, -1, -1, ((1, a),), (5, 6)),
+        ], target
+    assert layout.ends == [((3, 4), 1, 2), ((5, 6), 1, 2), ((7,), 1, 2)]
+    # the check runs once per solve, before any branch: a run that steps
+    # into S from an end not attached to that S-vertex, or not from an end
+    # at all, or that is not a stretch of one component
+    for target in [(3, 4, 1), (1, 4, 3), (2, 3), (3, 1, 4), (5, 3), (4, 6), (3, 5, 6, 2)]:
+        with pytest.raises(FlowerShapeViolation, match="does not run along G - S"):
+            component_budgets(path_components(THETA, set(s)), s, [(4,), target])
 
 
 def test_component_budgets_matches_classifying_reference():
@@ -769,13 +816,13 @@ def test_component_budgets_matches_classifying_reference():
             continue
         residuals += 1
         paths = [*pre.paths, *random_walk_targets(rng, g, 10)]
-        comps = assert_same_budgets(g, s, paths)
-        comp_of = {v: ci for ci, cd in enumerate(comps) for v in cd.component.vertices}
+        layout = assert_same_budgets(g, s, paths)
+        comp_of = {v: ci for ci, cd in enumerate(layout.comps) for v in cd.component.vertices}
         for p in paths:
             cids = [comp_of.get(v) for v in p]
             runs = [c for c, prev in zip(cids, [None, *cids]) if c is not None and c != prev]
             reentering += len(runs) > len(set(runs))
-        covering += sum(bool(cd.covered_by) for cd in comps)
+        covering += sum(map(bool, covered_by(layout)))
     assert reentering > 150 and covering > 100, (reentering, covering)
     for workload in ("scaling", "large", "flower"):
         cases, seed = [], 0
@@ -798,7 +845,8 @@ def scanning_solve(inst):
     pre = preprocess(inst)
     g = connect_components(pre.graph)
     s = high_degree_set(g)
-    comps = component_budgets(path_components(g, set(s)), s, pre.paths)
+    layout = component_budgets(path_components(g, set(s)), s, pre.paths)
+    comps = layout.comps
     total_opt = sum(cd.opt for cd in comps)
     nc = len(comps)
     must_opt_mask = 0
@@ -825,7 +873,7 @@ def scanning_solve(inst):
                         chosen |= _fill_component(cd, budget)
             else:
                 stats.flower_calls += 1
-                branch = build_flower_branch(s, comps, budgets, s_prime, pre.paths, core_id)
+                branch = build_flower_branch(layout, budgets, s_mask, core_id)
                 fsol = solve_flower(branch)
                 if fsol.verdict != "YES":
                     continue
