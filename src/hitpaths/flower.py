@@ -25,6 +25,8 @@ class FlowerInstance(NamedTuple):
     core: int
     petals: tuple[tuple[int, ...], ...]
     budgets: tuple[int, ...]
+    # the targets; fpt.build_flower_branch lists the internal ones petal by petal, then
+    # those through the core. Only solve_flower's final all-paths-hit check reads them
     paths: tuple[tuple[int, ...], ...]
     core_links: frozenset[int]  # petal endpoints adjacent to the core
     # per petal, the (lo, hi) position spans of the targets inside it

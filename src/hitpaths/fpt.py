@@ -2,12 +2,12 @@
 
 Pipeline: strip degree-<=1 vertices (forcing those demanded by singleton
 targets), bridge components, dispatch simple cycles to the cycle solver,
-lay every target out across the high-degree vertices S once, and branch
-over which vertices of S join the solution and which path components get
-their optimum budget versus optimum+1. A branch that puts all of S into
-the solution is filled greedily per component; every other surviving
-branch is read off the layout as an exact-budget flower instance, solved
-via signed 2-SAT. The first successful branch yields the answer.
+lay the targets out once, per path component or across the high-degree
+vertices S, and branch over which vertices of S join the solution and
+which path components get their optimum budget versus optimum+1. A branch
+that puts all of S into the solution is filled greedily per component;
+every other surviving branch is read off the layout as an exact-budget
+flower instance, solved via signed 2-SAT; the first success is the answer.
 """
 
 from __future__ import annotations
@@ -131,15 +131,17 @@ class ComponentData(NamedTuple):
 
 class BranchLayout(NamedTuple):  # component_budgets' result, read by every branch of a solve
     comps: list[ComponentData]
-    ends: list[tuple[tuple[int, ...], int, int]]  # per component: vertices, attachments' S-bits
-    # per target: S-mask (bit i for s[i]), mask of the components it holds whole, indices
-    # of its first and last S-vertex (-1 if none), runs as (component, (lo, hi)), itself
+    # per component: vertices, attachments' S-bits, then its internal targets: the (lo, hi)
+    # spans and the paths of those that do not hold it whole, and those that do
+    ends: list[tuple]
+    # per target through S: S-mask (bit i for s[i]), mask of the components it holds whole,
+    # indices of its first and last S-vertex, runs as (component, (lo, hi)), itself
     targets: list[tuple]
 
 
 def component_budgets(comps: list[PathComponent], s, paths) -> BranchLayout:
     """Per component of path_components' walk: its internal targets and
-    their piercing optimum; per target, its layout across S.
+    their piercing optimum; per target through S, its layout across S.
 
     Budget candidates for the branching step are {opt, opt + 1}. The one
     walk over the targets reads each vertex's component and 1-based position
@@ -148,14 +150,16 @@ def component_budgets(comps: list[PathComponent], s, paths) -> BranchLayout:
     ends' positions, read either way, and step into S only from the end
     attached to the S-vertex beside it, else FlowerShapeViolation is raised
     before any branch: a run between S-vertices holds its component whole,
-    and a first or last run is a prefix or a suffix.
+    and a first or last run is a prefix or a suffix. A target inside a
+    component is filed with it, as a span and a path unless it holds it whole.
     """
     s, bit = set(s), {v: 1 << i for i, v in enumerate(s)}
     verts = [c.vertices for c in comps]
     at = {v: (ci, q) for ci, vs in enumerate(verts) for q, v in enumerate(vs, 1)}
     links = {(c.attach_left, c.vertices[0]) for c in comps}  # the edges from S into G - S
     links |= {(c.attach_right, c.vertices[-1]) for c in comps}
-    spans, targets = [[] for _ in comps], []  # per component: its internal targets' spans
+    # per component: its internal targets' spans and paths, and those that hold it whole
+    spans, inner, whole, targets = [[] for _ in comps], [[] for _ in comps], [[] for _ in comps], []
 
     def run(p, a: int, b: int) -> tuple[int, tuple[int, int]]:
         """(component, (lo, hi)) of the checked run p[a:b]."""
@@ -171,9 +175,12 @@ def component_budgets(comps: list[PathComponent], s, paths) -> BranchLayout:
     for p in paths:
         hits = s.intersection(p)
         if not hits:  # a target inside an induced path runs from one end to the other
-            ci, span = r = run(p, 0, len(p))
-            spans[ci].append(span)
-            targets.append((0, (len(p) == len(verts[ci])) << ci, -1, -1, (r,), p))
+            ci, span = run(p, 0, len(p))
+            if len(p) < len(verts[ci]):
+                spans[ci].append(span)
+                inner[ci].append(p)
+            else:
+                whole[ci].append(p)
             continue
         # the runs p[a:b] between the sorted positions of S-vertices, len(p) closing the last
         cuts = sorted(map(p.index, hits))
@@ -187,8 +194,10 @@ def component_budgets(comps: list[PathComponent], s, paths) -> BranchLayout:
         cover = sum(1 << ci for ci, count in inside.items() if count == len(verts[ci]))
         smask = sum(map(bit.__getitem__, hits))
         targets.append((smask, cover, cuts[0], cuts[-1], tuple(runs), p))
-    out = [ComponentData(c, *stab_intervals(len(c.vertices), sp)) for c, sp in zip(comps, spans)]
-    ends = [(c.vertices, bit[c.attach_left], bit[c.attach_right]) for c in comps]
+    out = [ComponentData(c, *stab_intervals(len(vs), sp + [(1, len(vs))] * len(wh)))
+           for c, vs, sp, wh in zip(comps, verts, spans, whole)]  # each whole one spans (1, len)
+    ends = [(c.vertices, bit[c.attach_left], bit[c.attach_right], tuple(sp), tuple(ps), tuple(wh))
+            for c, sp, ps, wh in zip(comps, spans, inner, whole)]
     return BranchLayout(out, ends, targets)
 
 
@@ -196,47 +205,46 @@ def build_flower_branch(layout: BranchLayout, budgets, s_mask: int, core_id: int
     """Turn one (S', budgets) guess, S' given by its mask over s, into a
     flower instance read off the solve's layout.
 
-    Zero-budget components are deleted and the rest become petals. A target
-    that S' hits or that holds a whole petal is dropped. Any other target
-    through S keeps the core and those of its first and last runs that lie
-    on petals: its runs between S-vertices hold their components whole, so
-    they are deleted, and its S-vertices contract to the core. S' must leave
-    a vertex of S for the core. A target inside a deleted component would be
-    emptied; make_flower names it.
+    Zero-budget components are deleted and the rest become petals, each
+    with its component's internal spans and paths as laid out; internal
+    targets of a deleted component would be emptied, and make_flower names
+    the first. A target through S that S' hits or that holds a whole petal
+    is dropped. Any other keeps the core and those of its first and last
+    runs that lie on petals: its runs between S-vertices hold their
+    components whole, so they are deleted, and its S-vertices contract to
+    the core. S' must leave a vertex of S for the core.
     """
     _, ends, targets = layout
     petal_of = []  # per component: its petal's index, or -1 if deleted
     petals, petal_budgets, links, live = [], [], [], 0  # live: the petals' component mask
-    for ci, ((vertices, left, right), budget) in enumerate(zip(ends, budgets)):
+    paths, internal, crossing = [], [], []
+    for ci, ((vertices, left, right, spans, inner, whole), budget) in enumerate(zip(ends, budgets)):
         petal_of.append(len(petals) if budget else -1)
         if budget:
             live |= 1 << ci
             petals.append(vertices)
             petal_budgets.append(budget)
+            internal.append(spans)
+            paths += inner
             if not left & s_mask:
                 links.append(vertices[0])
             if not right & s_mask:
                 links.append(vertices[-1])
-    paths, internal, crossing = [], [[] for _ in petals], []
-    for smask, cover, first, last, runs, p in targets:
-        if smask & s_mask or cover & live:
-            continue
-        if smask:  # through the core: it keeps the end runs that lie on petals
-            h = petal_of[runs[0][0]] if first else -1
-            t = petal_of[runs[-1][0]] if last + 1 < len(p) else -1
-            frags = ((h, runs[0][1]),) if h >= 0 else ()
-            crossing.append(frags + ((t, runs[-1][1]),) if t >= 0 else frags)
-            p = (p[:first] if h >= 0 else ()) + (core_id,) + (p[last + 1 :] if t >= 0 else ())
-        elif petal_of[runs[0][0]] < 0:  # emptied: make_flower rejects it by its index
+        elif spans or whole:  # emptied: make_flower rejects it by its index
             try:
                 make_flower(core_id, petals, petal_budgets, [*paths, ()], links)
             except ValidationError as exc:
                 raise FlowerShapeViolation(str(exc)) from exc
-        else:
-            internal[petal_of[runs[0][0]]].append(runs[0][1])
-        paths.append(p)
+    for smask, cover, first, last, runs, p in targets:
+        if smask & s_mask or cover & live:
+            continue
+        h = petal_of[runs[0][0]] if first else -1  # it keeps the end runs on petals
+        t = petal_of[runs[-1][0]] if last + 1 < len(p) else -1
+        frags = ((h, runs[0][1]),) if h >= 0 else ()
+        crossing.append(frags + ((t, runs[-1][1]),) if t >= 0 else frags)
+        paths.append((p[:first] if h >= 0 else ()) + (core_id,) + (p[last + 1 :] if t >= 0 else ()))
     return FlowerInstance(core_id, tuple(petals), tuple(petal_budgets), tuple(paths),
-                          frozenset(links), tuple(map(tuple, internal)), tuple(crossing))
+                          frozenset(links), tuple(internal), tuple(crossing))
 
 
 def _fill_component(cd: ComponentData, budget: int) -> set[int]:

@@ -169,8 +169,8 @@ MUTANTS = (
     Mutant(
         "an internal target never covers its component",
         "fpt.py",
-        "(len(p) == len(verts[ci])) << ci",
-        "0",
+        "            if len(p) < len(verts[ci]):\n",
+        "            if True:\n",
         (
             "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
             "tests/test_fpt.py::test_component_budgets_matches_classifying_reference",
@@ -213,6 +213,26 @@ MUTANTS = (
         "crossing.append(((t, runs[-1][1]),) + frags if t >= 0 else frags)",
         (
             "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
+        ),
+    ),
+    Mutant(
+        "a deleted component's internal targets are dropped, not rejected",
+        "fpt.py",
+        "        elif spans or whole:  # emptied: make_flower rejects it by its index\n",
+        "        elif False:\n",
+        (
+            "tests/test_fpt.py::test_build_flower_branch_shapes",
+            "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
+        ),
+    ),
+    Mutant(
+        "a petal takes the internal spans of the component before it",
+        "fpt.py",
+        "            internal.append(spans)\n",
+        "            internal.append(ends[ci - 1][3])\n",
+        (
+            "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
+            "tests/test_fpt.py::test_flower_branches_hand_on_the_layouts_internal_targets",
         ),
     ),
     Mutant(

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -132,6 +133,11 @@ def test_build_flower_branch_shapes():
     # builds such a branch, and the flower check refuses it
     with pytest.raises(FlowerShapeViolation):
         build_flower_branch(layout, [1, 0], 0, 5)
+    # it is named by its place among the flower's paths, which list the kept
+    # petals' internal targets first: here (4,) and (6,), before (7,)
+    layout = component_budgets(path_components(THETA, {1, 2}), [1, 2], [(7,), (4,), (6,)])
+    with pytest.raises(FlowerShapeViolation, match=r"^path 3 is empty"):
+        build_flower_branch(layout, [1, 1, 0], 0, 8)
 
 
 def test_solve_triangle():
@@ -602,10 +608,14 @@ COLLAPSE = "target collapses onto the core more than once"
 
 
 def branch_outcome(build, *args):
+    """The flower with its paths as a multiset, or the error named by cause:
+    the builders list a flower's paths in different orders, and an error
+    names a target by its place among them."""
     try:
-        return build(*args)
+        flower = build(*args)
     except FlowerShapeViolation as exc:
-        return str(exc)
+        return re.sub(r"^path \d+ ", "", str(exc))
+    return flower._replace(paths=Counter(flower.paths))
 
 
 def test_flower_branch_matches_rebuilding_reference():
@@ -670,14 +680,36 @@ def test_flower_branch_matches_rebuilding_reference():
                 if rejected and branch_outcome(rebuilding_flower_branch, s, comps, budgets,
                                                s_prime, rejected, core_id) == COLLAPSE:
                     outcomes[COLLAPSE] += 1
-                if isinstance(want, str):  # named by cause, not by target
-                    outcomes[re.sub(r"^path \d+ ", "", want)] += 1
+                if isinstance(want, str):
+                    outcomes[want] += 1
                 else:
                     outcomes["flower"] += 1
     assert outcomes["flower"] > 5000, outcomes
     assert outcomes["rejected before any branch"] > 100, outcomes
     assert outcomes[COLLAPSE] > 100, outcomes
     assert outcomes["is empty or repeats a vertex"] > 100, outcomes
+
+
+def test_flower_branches_hand_on_the_layouts_internal_targets():
+    # internal targets are laid out once per solve: every branch gives a
+    # positive-budget petal its component's own spans tuple from the layout,
+    # and lists the component's internal paths first, petal by petal
+    inst = scaling_instance(3)
+    pre = preprocess(inst)
+    s = high_degree_set(pre.graph)
+    layout = component_budgets(path_components(pre.graph, set(s)), s, pre.paths)
+    opts = [cd.opt for cd in layout.comps]
+    flowers = []
+    for s_mask, budgets in [(0, opts), (1, [opt + ci % 2 for ci, opt in enumerate(opts)])]:
+        flower = build_flower_branch(layout, budgets, s_mask, inst.graph.n + 1)
+        kept = [end for end, budget in zip(layout.ends, budgets) if budget]
+        assert len(flower.internal) == len(kept) > 1
+        assert all(spans is end[3] and spans for spans, end in zip(flower.internal, kept))
+        inner = [p for end in kept for p in end[4]]
+        assert list(flower.paths[: len(inner)]) == inner
+        assert len(flower.paths) == len(inner) + len(flower.crossing)
+        flowers.append(flower)
+    assert flowers[0] != flowers[1]
 
 
 def test_long_flower_branch_is_linear():
@@ -737,18 +769,55 @@ def random_walk_targets(rng, g, count):
     return targets
 
 
-def covered_by(layout):
-    """Per component: the indices of the targets holding all its vertices."""
+def covered_by(layout, paths):
+    """Per component: the indices of the targets holding all its vertices,
+    read from its whole internal targets and the through-S cover masks."""
+    cover = {target[-1]: target[1] for target in layout.targets}
     return [
-        frozenset(i for i, target in enumerate(layout.targets) if target[1] >> ci & 1)
-        for ci in range(len(layout.comps))
+        frozenset(i for i, p in enumerate(paths) if p in end[5] or cover.get(p, 0) >> ci & 1)
+        for ci, end in enumerate(layout.ends)
     ]
 
 
+def vertex_layout(comps, s, paths):
+    """The layout read vertex by vertex, for targets that run along G - S:
+    per component, its vertices, its attachments' S-bits and its internal
+    targets (spans and paths of those not holding it whole, then those that
+    do); per target through S, its S-mask, cover mask, first and last
+    S-index and its maximal runs outside S as (component, (lo, hi))."""
+    bit = {v: 1 << i for i, v in enumerate(s)}
+    at = {v: (ci, q) for ci, c in enumerate(comps) for q, v in enumerate(c.vertices, 1)}
+    inner = [([], [], []) for _ in comps]
+    targets = []
+    for p in paths:
+        runs = []
+        for ci, group in itertools.groupby(p, lambda v: at[v][0] if v in at else None):
+            if ci is not None:
+                q = [at[v][1] for v in group]
+                runs.append((ci, (min(q), max(q))))
+        sizes = Counter(at[v][0] for v in p if v in at)
+        cover = [ci for ci, size in sizes.items() if size == len(comps[ci].vertices)]
+        where = [i for i, v in enumerate(p) if v in bit]
+        if where:
+            smask = sum(bit[p[i]] for i in where)
+            targets.append((smask, sum(1 << ci for ci in cover), where[0], where[-1],
+                            tuple(runs), p))
+        elif cover:
+            inner[runs[0][0]][2].append(p)
+        else:
+            inner[runs[0][0]][0].append(runs[0][1])
+            inner[runs[0][0]][1].append(p)
+    ends = [(c.vertices, bit[c.attach_left], bit[c.attach_right], *map(tuple, rec))
+            for c, rec in zip(comps, inner)]
+    return ends, targets
+
+
 def assert_same_budgets(g, s, paths):
-    got = component_budgets(path_components(g, set(s)), s, paths)
+    walk = path_components(g, set(s))
+    got = component_budgets(walk, s, paths)
     want = classifying_component_budgets(g, s, paths)
-    assert [(*cd, cover) for cd, cover in zip(got.comps, covered_by(got))] == want
+    assert [(*cd, cover) for cd, cover in zip(got.comps, covered_by(got, paths))] == want
+    assert (got.ends, got.targets) == vertex_layout(walk, s, paths)
     return got
 
 
@@ -778,15 +847,21 @@ def test_component_budgets_cuts_targets_at_their_s_vertices():
         ((1, 2), set(), 3, 0, 1, []),  # no run at all
         ((2,), set(), 2, 0, 0, []),
     ]:
-        layout = assert_same_budgets(THETA, s, [(4,), target, (5, 6)])
+        paths = [(4,), target, (5, 6)]
+        layout = assert_same_budgets(THETA, s, paths)
         assert [cd.component.vertices for cd in layout.comps] == [(3, 4), (5, 6), (7,)]
-        assert {ci for ci, cover in enumerate(covered_by(layout)) if 1 in cover} == covers, target
+        cover = covered_by(layout, paths)
+        assert {ci for ci, held in enumerate(cover) if 1 in held} == covers, target
         assert layout.targets == [
-            (0, 0, -1, -1, ((0, b),), (4,)),  # inside one component: no S-vertex
             (smask, sum(1 << ci for ci in covers), first, last, tuple(runs), target),
-            (0, 2, -1, -1, ((1, a),), (5, 6)),
         ], target
-    assert layout.ends == [((3, 4), 1, 2), ((5, 6), 1, 2), ((7,), 1, 2)]
+        # inside one component, no S-vertex: (4,) at position 2 of (3, 4) is a
+        # span and a path; (5, 6) holds its component whole
+        assert layout.ends == [
+            ((3, 4), 1, 2, (b,), ((4,),), ()),
+            ((5, 6), 1, 2, (), (), ((5, 6),)),
+            ((7,), 1, 2, (), (), ()),
+        ], target
     # the check runs once per solve, before any branch: a run that steps
     # into S from an end not attached to that S-vertex, or not from an end
     # at all, or that is not a stretch of one component
@@ -822,7 +897,7 @@ def test_component_budgets_matches_classifying_reference():
             cids = [comp_of.get(v) for v in p]
             runs = [c for c, prev in zip(cids, [None, *cids]) if c is not None and c != prev]
             reentering += len(runs) > len(set(runs))
-        covering += sum(map(bool, covered_by(layout)))
+        covering += sum(map(bool, covered_by(layout, paths)))
     assert reentering > 150 and covering > 100, (reentering, covering)
     for workload in ("scaling", "large", "flower"):
         cases, seed = [], 0
