@@ -12,6 +12,7 @@ flower instance, solved via signed 2-SAT; the first success is the answer.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
 
@@ -60,10 +61,10 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     degrees and peel steps are kept in lists beside the graph's shared,
     unmodified adjacency.
 
-    One rule over the peel steps then settles the targets: a target peeled
-    whole forces its last-peeled vertex into the solution (the budget drops
-    by one) unless a vertex forced at an earlier step already hits it, and
-    every other target that no forced vertex hits keeps its unpeeled middle.
+    One rule over each target's list of peel steps then settles it: a
+    target peeled whole forces its last-peeled vertex into the solution (the
+    budget drops by one) unless a vertex forced at an earlier step already
+    hits it, and one that no forced vertex hits keeps its unpeeled middle.
     The pass takes O(n + m + sum of target lengths). Peeling keeps m - n + c,
     so the residual has the input's k. Self-checks: no peeled vertex has two
     live neighbours, the residual keeps exactly the unpeeled edges, and no
@@ -102,18 +103,19 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     residual = Graph(len(nbrs), sum(map(len, nbrs.values())) // 2, nbrs)
     if g.m - residual.m != removed:
         raise InvariantViolation("the residual does not keep exactly the unpeeled edges")
+    # per target, its peel steps: with no 0 it is peeled whole, ending at order[max(steps) - 1]
+    steps_of = [*map(list, map(map, repeat(when.__getitem__), inst.paths))]
     ends: dict[int, list[tuple[int, ...]]] = {}  # last-peeled vertex -> targets peeled whole
-    for p in inst.paths:
-        if all(map(when.__getitem__, p)):
-            ends.setdefault(max(p, key=when.__getitem__), []).append(p)
+    for p, steps in zip(inst.paths, steps_of):
+        if 0 not in steps:
+            ends.setdefault(order[max(steps) - 1], []).append(p)
     forced: set[int] = set()
     for v in filter(ends.__contains__, order):
         if any(map(forced.isdisjoint, ends[v])):  # a target no earlier forced vertex hits
             forced.add(v)
     new_paths = []
-    for p in filter(forced.isdisjoint, inst.paths):
-        steps = [*map(when.__getitem__, p)]
-        if all(steps):
+    for p, steps in compress(zip(inst.paths, steps_of), map(forced.isdisjoint, inst.paths)):
+        if 0 not in steps:
             raise InvariantViolation("preprocessing emptied a target")
         a = steps.index(0)  # the unpeeled middle is p[a:b]
         b = a + steps.count(0)

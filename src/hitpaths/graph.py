@@ -9,6 +9,8 @@ deterministic bridging of disconnected inputs.
 
 from __future__ import annotations
 
+from collections import deque
+from contextlib import suppress
 from typing import Iterable, KeysView, NamedTuple, Optional, Sequence
 
 from .errors import InvariantViolation, NotAPath, ValidationError
@@ -28,7 +30,8 @@ class Graph(NamedTuple):
 
     @staticmethod
     def build(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Validate the edges in the one pass that fills the neighbour sets."""
+        """Validate the edges in the one pass that fills the neighbour sets,
+        reading a one-shot iterable once; from_ends runs it to name a bad edge."""
         if n < 0:
             raise ValidationError(f"negative vertex count {n}")
         adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
@@ -44,6 +47,19 @@ class Graph(NamedTuple):
             adj[v].add(u)
             m += 1
         return Graph(n, m, adj)
+
+    @staticmethod
+    def from_ends(n: int, us: Sequence[int], ws: Sequence[int]) -> "Graph":
+        """build(n, zip(us, ws)) by two bulk passes, accepted when every end is
+        an id and the degrees add up to 2m (a self-loop or a repeated edge adds
+        an end to a set that holds it); else build's loop names the bad edge."""
+        adj: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+        with suppress(KeyError, TypeError):  # an end that is not an id
+            deque(map(set.add, map(adj.__getitem__, us), ws), maxlen=0)
+            deque(map(set.add, map(adj.__getitem__, ws), us), maxlen=0)
+            if n >= 0 and sum(map(len, adj.values())) == 2 * len(us):
+                return Graph(n, len(us), adj)
+        return Graph.build(n, zip(us, ws))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

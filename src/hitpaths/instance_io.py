@@ -21,6 +21,9 @@ Solution file: "s <size> <v1> ... <vk>" for YES, "s -1" for NO.
 
 from __future__ import annotations
 
+from contextlib import suppress
+from itertools import chain
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import ParseError, ValidationError
@@ -45,7 +48,8 @@ class Solution(NamedTuple):
 
 
 def make_instance(graph: Graph, paths, t: int, kind: str = KIND_PATHS) -> HitPathsInstance:
-    """Validate and freeze an instance. Duplicate targets are retained."""
+    """Validate and freeze an instance. Duplicate targets are retained. Path
+    targets are checked in bulk, and one by one only to name a bad one."""
     if kind not in (KIND_PATHS, KIND_SUBGRAPHS):
         raise ValidationError(f"unknown instance kind {kind!r}")
     ids = graph.vertices()  # ascending, so n ids from 1 to n are exactly 1..n
@@ -53,8 +57,20 @@ def make_instance(graph: Graph, paths, t: int, kind: str = KIND_PATHS) -> HitPat
         raise ValidationError("vertex ids are not exactly 1..n")
     if not (0 <= t <= graph.n):
         raise ValidationError(f"budget t={t} out of range 0..{graph.n}")
-    frozen = []
     adj = graph.adjacency()
+    if kind == KIND_PATHS:  # path_in of every target, in bulk
+        paths = [*map(tuple, paths)]
+        tails = chain.from_iterable(map(itemgetter(slice(-1)), paths))  # where each step starts
+        heads = chain.from_iterable(map(itemgetter(slice(1, None)), paths))  # and where it ends
+        with suppress(TypeError):  # an unhashable vertex, raised by path_in at its target
+            if (
+                all(paths)
+                and [*map(len, map(set, paths))] == [*map(len, paths)]
+                and all(map(adj.__contains__, map(itemgetter(0), paths)))
+                and all(map(set.__contains__, map(adj.__getitem__, tails), heads))
+            ):
+                return HitPathsInstance(graph, tuple(paths), t, kind)
+    frozen = []
     for idx, p in enumerate(paths):
         seq = tuple(p)
         if kind == KIND_PATHS:
@@ -125,8 +141,8 @@ def _ints(tokens, what: str, ids: Optional[dict[str, int]] = None) -> list[int]:
 
 
 def parse_instance(text: str) -> HitPathsInstance:
-    lines = _content_lines(text)
-    header = next(lines, None)
+    lines = map(str.split, text.splitlines())  # split in C, one line at a time
+    header = next((tokens for tokens in lines if tokens and tokens[0] != "c"), None)
     if header is None or header[0] != "p":
         raise ParseError("missing 'p' header line")
     if len(header) != 6 or header[1] not in ("hitpaths", "hitsub"):
@@ -134,24 +150,25 @@ def parse_instance(text: str) -> HitPathsInstance:
     kind = KIND_PATHS if header[1] == "hitpaths" else KIND_SUBGRAPHS
     n, m, p, t = _ints(header[2:], "header field")
     # each kind of token is converted in one _ints call per file
-    end_tokens: list[str] = []  # the two vertex tokens of every edge line
+    end_tokens: list[str] = []  # every edge line whole, its tags deleted after the loop
     size_tokens: list[str] = []  # the announced size of every target line
     vertex_tokens: list[str] = []  # the vertex tokens of all target lines
     cuts = [0]  # where each target line's vertex tokens end
-    for tokens in lines:
+    for tokens in filter(None, lines):  # a blank line splits to []
         tag = tokens[0]
         if tag == "e":
             if len(tokens) != 3:
                 raise ParseError(f"bad edge line {' '.join(tokens)!r}")
-            end_tokens += tokens[1:]
+            end_tokens += tokens
         elif tag == "s":
             if len(tokens) < 2:
                 raise ParseError(f"bad target line {' '.join(tokens)!r}")
             size_tokens.append(tokens[1])
             vertex_tokens += tokens[2:]
             cuts.append(len(vertex_tokens))
-        else:
+        elif tag != "c":
             raise ParseError(f"unknown line tag {tag!r}")
+    del end_tokens[::3]  # the "e" tags
     # ids spelled as str(v) convert by lookup, at most one entry per token
     ids = {str(v): v for v in range(1, min(n, len(end_tokens) + len(vertex_tokens)) + 1)}
     ends = _ints(end_tokens, "vertex", ids)
@@ -165,7 +182,7 @@ def parse_instance(text: str) -> HitPathsInstance:
         raise ParseError(f"header announces {m} edges, found {len(ends) // 2}")
     if len(targets) != p:
         raise ParseError(f"header announces {p} targets, found {len(targets)}")
-    graph = Graph.build(n, zip(ends[::2], ends[1::2]))
+    graph = Graph.from_ends(n, ends[::2], ends[1::2])
     return make_instance(graph, targets, t, kind)
 
 

@@ -61,10 +61,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a target peeled whole forces its first-peeled vertex",
+        "a target peeled whole forces its first-peeled vertex (min of its peel steps)",
         "fpt.py",
-        "max(p, key=when.__getitem__)",
-        "min(p, key=when.__getitem__)",
+        "ends.setdefault(order[max(steps) - 1]",
+        "ends.setdefault(order[min(steps) - 1]",
         (
             "tests/test_fpt.py::test_preprocess_peels_smallest_id_first",
             "tests/test_fpt.py::test_preprocess_matches_quadratic_reference",
@@ -303,6 +303,34 @@ MUTANTS = (
         (
             "tests/test_io.py::test_ids_in_other_spellings_parse_as_canonical_ones",
             "tests/test_io.py::test_streaming_parse_matches_the_two_pass_reference",
+        ),
+    ),
+    Mutant(
+        "the bulk graph fill is accepted without its degree-sum test",
+        "graph.py",
+        "            if n >= 0 and sum(map(len, adj.values())) == 2 * len(us):\n",
+        "            if n >= 0:\n",
+        (
+            "tests/test_io.py::test_bulk_graph_build_matches_the_two_pass_reference",
+            "tests/test_io.py::test_streaming_parse_matches_the_two_pass_reference",
+        ),
+    ),
+    Mutant(
+        "the bulk target check drops its repeated-vertex test",
+        "instance_io.py",
+        "                and [*map(len, map(set, paths))] == [*map(len, paths)]\n",
+        "",
+        (
+            "tests/test_io.py::test_bulk_target_checks_match_the_one_by_one_reference",
+        ),
+    ),
+    Mutant(
+        "the bulk target check drops its first-vertex test",
+        "instance_io.py",
+        "                and all(map(adj.__contains__, map(itemgetter(0), paths)))\n",
+        "",
+        (
+            "tests/test_io.py::test_bulk_target_checks_match_the_one_by_one_reference",
         ),
     ),
     Mutant(

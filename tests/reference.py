@@ -4,7 +4,8 @@ Small and slow on purpose: lexicographic enumeration of signed formulas,
 exact-budget enumeration for flowers, and naive clique search. Also the
 earlier versions of rewritten package code: the dense 2-SAT
 encoding with a boolean for every value of every variable, the two-pass
-instance parse, the set-building target checks, the canonical table that
+instance parse, the path targets checked one by one, the set-building
+target checks, the canonical table that
 builds every solution up front, the per-vertex component classification and
 the 2-SAT solver with an edge cursor per frame. The package itself never
 calls them.
@@ -19,7 +20,7 @@ from typing import Callable, Optional
 from hitpaths.errors import CapExceeded, ClauseTooWide, ParseError, ValidationError
 from hitpaths.errors import InvariantViolation
 from hitpaths.flower import FlowerInstance
-from hitpaths.graph import Graph, path_components
+from hitpaths.graph import Graph, path_components, path_in
 from hitpaths.instance_io import (
     KIND_PATHS,
     KIND_SUBGRAPHS,
@@ -179,6 +180,19 @@ def graph_build_two_pass(n: int, edges) -> Graph:
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, len(normalized), adj)
+
+
+def make_path_instance_one_by_one(graph: Graph, paths, t: int) -> HitPathsInstance:
+    """make_instance of path targets, each checked by path_in on its own
+    after make_instance has checked the ids and the budget."""
+    make_instance(graph, [], t)
+    frozen = []
+    for idx, p in enumerate(paths):
+        seq = tuple(p)
+        if not path_in(graph.adjacency(), seq):
+            raise ValidationError(f"target {idx + 1} is not a simple path of the graph")
+        frozen.append(seq)
+    return HitPathsInstance(graph, tuple(frozen), t)
 
 
 def parse_instance_two_pass(text: str) -> HitPathsInstance:

@@ -32,6 +32,7 @@ from conftest import random_graph, random_signed_formula
 from reference import (
     certificate_for_sets,
     graph_build_two_pass,
+    make_path_instance_one_by_one,
     parse_instance_two_pass,
     unhit_targets_sets,
 )
@@ -365,6 +366,110 @@ def test_graph_build_stores_the_adjacency_of_its_edges():
             edges.insert(rng.randint(0, len(edges)), rng.choice(edges)[::-1])
         expected = _outcome(partial(graph_build_two_pass, g.n), edges)
         assert _outcome(partial(Graph.build, g.n), edges) == expected
+
+
+def _sparse_edges(rng, n):
+    """A random tree on 1..n plus up to three more edges, shuffled, each
+    written in a random orientation."""
+    edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+    for _ in range(rng.randint(0, 3) if n > 2 else 0):
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in sorted(edges)]
+    rng.shuffle(edges)
+    return edges
+
+
+def _size(rng):
+    """n from 0 to about 2,000: small graphs, and ones at benchmark size."""
+    return rng.choice((rng.randint(0, 12), rng.randint(13, 2000)))
+
+
+def test_bulk_graph_build_matches_the_two_pass_reference():
+    faults = Counter()
+    for seed in range(120):
+        rng = random.Random(seed)
+        n = _size(rng)
+        edges = _sparse_edges(rng, n)
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            fault = rng.choice(("self-loop", "off the graph", "duplicate"))
+            if fault == "self-loop" and n:
+                v = rng.randint(1, n)
+                edge = (v, v)
+            elif fault == "off the graph":
+                edge = (rng.choice((0, n + 1)), rng.randint(1, max(n, 1)))
+                edge = edge[::-1] if rng.random() < 0.5 else edge
+            elif edges:  # a duplicate, as written or reversed
+                edge = rng.choice(edges)
+                edge = edge[::-1] if rng.random() < 0.5 else edge
+            else:
+                continue
+            edges.insert(rng.randint(0, len(edges)), edge)
+            faults[fault] += 1
+        want = _outcome(partial(graph_build_two_pass, n), edges)
+        assert _outcome(partial(Graph.build, n), edges) == want
+        assert _outcome(partial(Graph.build, n), iter(edges)) == want  # read once
+        us, ws = [u for u, _ in edges], [w for _, w in edges]
+        assert _outcome(lambda _: Graph.from_ends(n, us, ws), None) == want
+        faults["valid" if isinstance(want, Graph) else want[0].__name__] += 1
+    assert min(faults.values()) >= 20, faults
+
+
+def test_graph_build_reads_each_edge_as_a_pair():
+    # an edge that is not a pair fails to unpack as in any loop over pairs,
+    # and one of any iterable type of two ends is read as a pair
+    for edges in ([(1, 2, 3)], [(1, 2), (3,)], [(1, 2), (2, 3, 1)], [(1, 2), 3]):
+        with pytest.raises((ValueError, TypeError)):
+            Graph.build(3, edges)
+    want = Graph.build(3, [(1, 2), (2, 3)])
+    ones = (zip((1, 3), (2, 2)), ((u, u + 1) for u in (1, 2)), {(1, 2), (2, 3)}, [iter((1, 2)), [3, 2]])
+    for edges in ones:
+        assert Graph.build(3, edges) == want
+
+
+def _simple_path(rng, adj, n):
+    """A random simple path of 1 to 8 vertices, grown from a random start."""
+    path = [rng.randint(1, n)]
+    while len(path) < rng.randint(1, 8):
+        steps = sorted(adj[path[-1]].difference(path))
+        if not steps:
+            break
+        path.append(rng.choice(steps))
+    return tuple(path)
+
+
+def test_bulk_target_checks_match_the_one_by_one_reference():
+    faults = Counter()
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = max(_size(rng), 2)
+        g = Graph.build(n, _sparse_edges(rng, n))
+        adj = g.adjacency()
+        targets = [_simple_path(rng, adj, n) for _ in range(rng.randint(0, n // 3 + 2))]
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            p = _simple_path(rng, adj, n)
+            fault = rng.choice(("empty", "repeat", "non-edge", "off", "last", "lone off"))
+            if fault == "empty":
+                p = ()
+            elif fault == "repeat":  # the walk steps back along an edge
+                p = p + p[-2:-1] if len(p) > 1 else (p[0], p[0])
+            elif fault in ("non-edge", "last"):
+                u = rng.randint(1, n)
+                w = rng.choice([x for x in range(1, n + 1) if x != u and x not in adj[u]] or [u])
+                at = rng.randint(0, len(p))
+                p = p[:at] + (u, w) + p[at:] if w != u else ()
+            elif fault == "off":
+                p = (0,) + p if rng.random() < 0.5 else p + (n + 1,)
+            else:
+                p = (rng.choice((0, -1, n + 1)),)
+            at = len(targets) if fault == "last" else rng.randint(0, len(targets))
+            targets.insert(at, p)
+            faults[fault] += 1
+        t = rng.randint(0, n)
+        want = _outcome(lambda ps: make_path_instance_one_by_one(g, ps, t), targets)
+        assert _outcome(lambda ps: make_instance(g, ps, t), targets) == want
+        assert _outcome(lambda ps: make_instance(g, iter(map(list, ps)), t), targets) == want
+        faults["valid" if isinstance(want, HitPathsInstance) else "rejected"] += 1
+    assert min(faults.values()) >= 15, faults
 
 
 def test_target_checks_match_the_set_building_reference():
