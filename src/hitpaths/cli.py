@@ -196,7 +196,7 @@ def _cmd_bench(args) -> int:
     rep = run_scaling()
     print("k   branches  median_s")
     for k in sorted(rep.branch_counts):
-        print(f"{k:<3d} {rep.branch_counts[k]:8d}  {rep.median_times[k]:.4f}")
+        print(f"{k:<3d} {rep.branch_counts[k]:8d}  {rep.median_times[k]:.6f}")
     print(f"branch ratio: {rep.branch_ratio:.1f}")
     print(f"time ratio:   {rep.time_ratio:.1f}")
     return EXIT_YES

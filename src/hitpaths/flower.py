@@ -21,6 +21,9 @@ from .mvsat import GE, LE, SignedFormula, solve_tors2sat
 from .treecycle import chain, pad, reach
 
 
+NO = Solution("NO")  # immutable, so every NO answer shares it
+
+
 class FlowerInstance(NamedTuple):
     core: int
     petals: tuple[tuple[int, ...], ...]
@@ -219,7 +222,7 @@ def solve_flower(inst: FlowerInstance) -> Solution:
     """
     n = len(inst.petals)
     if () in inst.crossing:  # a target that is the bare core
-        return Solution("NO")
+        return NO
 
     tables = []
     clauses: list[tuple[tuple[int, str, int], ...]] = []
@@ -227,7 +230,7 @@ def solve_flower(inst: FlowerInstance) -> Solution:
         table = canonical_table(len(petal), inst.internal[i], inst.budgets[i])
         tables.append(table)
         if not table.maxima:
-            return Solution("NO")
+            return NO
         clauses.append(((i + 1, GE, table.first),))
         clauses.append(((i + 1, LE, table.first + len(table.maxima) - 1),))
 
@@ -236,7 +239,7 @@ def solve_flower(inst: FlowerInstance) -> Solution:
         lits = [fragment_literal(i + 1, iv, tables[i]) for i, iv in frags]
         lits = [lit for lit in lits if lit is not None]
         if not lits:
-            return Solution("NO")
+            return NO
         key = tuple(sorted(lits))
         if key not in seen_clauses:
             seen_clauses.add(key)
@@ -245,7 +248,7 @@ def solve_flower(inst: FlowerInstance) -> Solution:
     longest = max(map(len, inst.petals), default=1)
     assignment = solve_tors2sat(SignedFormula(n, longest, tuple(clauses)))
     if assignment is None:
-        return Solution("NO")
+        return NO
 
     chosen: set[int] = set()
     for i, petal in enumerate(inst.petals):

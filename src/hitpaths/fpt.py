@@ -1,13 +1,15 @@
 """The fixed-parameter algorithm for hitting simple paths.
 
 Pipeline: strip degree-<=1 vertices (forcing those demanded by singleton
-targets), bridge components, dispatch simple cycles to the cycle solver,
-lay the targets out once, per path component or across the high-degree
-vertices S, and branch over which vertices of S join the solution and
-which path components get their optimum budget versus optimum+1. A branch
-that puts all of S into the solution is filled greedily per component;
-every other surviving branch is read off the layout as an exact-budget
-flower instance, solved via signed 2-SAT; the first success is the answer.
+targets), count k off one walk of G - S (a union-find over the high-degree
+vertices S), bridge components, dispatch simple cycles to the cycle solver,
+lay the targets out once, in one record per path component or across S,
+and branch over which vertices of S join the solution and which path
+components get their optimum budget versus optimum+1. A branch that puts
+all of S into the solution is filled greedily per component; every other
+surviving branch is read off the layout (its petals once per set of
+positive-budget components) as an exact-budget flower instance, solved via
+signed 2-SAT; the first success is the answer.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .graph import (
     path_components,
 )
 from .instance_io import KIND_PATHS, HitPathsInstance, Solution, certificate_for
-from .treecycle import hit_paths_in_cycle, pad, stab_intervals
+from .treecycle import hit_paths_in_cycle, stab_intervals
 
 
 class PreprocessResult(NamedTuple):
@@ -40,15 +42,8 @@ class SolveStats(SimpleNamespace):
     """The one mutable record: a solve's counters, read with vars()."""
 
     def __init__(self) -> None:
-        super().__init__(
-            k=0,
-            high_degree=0,
-            components=0,
-            branches_enumerated=0,
-            branches_after_filter=0,
-            flower_calls=0,
-            solution_cost=None,
-        )
+        self.__dict__.update(k=0, high_degree=0, components=0, branches_enumerated=0,
+                             branches_after_filter=0, flower_calls=0, solution_cost=None)
 
 
 def preprocess(inst: HitPathsInstance) -> PreprocessResult:
@@ -75,9 +70,9 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
         raise ValidationError("the FPT solver handles path targets only")
     g = inst.graph
     adj = g.adjacency()  # shared: read only
-    deg = [0, *map(len, map(adj.__getitem__, g.vertices()))]  # live degree per id
-    if min(deg[1:], default=2) > 1:  # nothing peels: the residual is the input
+    if min(map(len, adj.values()), default=2) > 1:  # nothing peels: the residual is the input
         return PreprocessResult(g, inst.paths, frozenset(), inst.t)
+    deg = [0, *map(len, adj.values())]  # live degree per id, the ids ascending from 1
     order: list[int] = []  # the peeled vertices, in peel order
     when = [0] * len(deg)  # the step at which each id was peeled, 0 while live
     removed = 0  # edges peeled away
@@ -125,25 +120,29 @@ def preprocess(inst: HitPathsInstance) -> PreprocessResult:
     return PreprocessResult(residual, tuple(new_paths), frozenset(forced), inst.t - len(forced))
 
 
-class ComponentData(NamedTuple):
-    component: PathComponent
-    opt: int
-    greedy: frozenset[int]  # positions of an optimum piercing of its targets
+class Component(NamedTuple):  # a path component of G - S, as every branch of a solve reads it
+    vertices: tuple[int, ...]  # the walk's, left to right
+    left: int  # the S-bit (bit i for s[i]) of the attachment at vertices[0]
+    right: int  # and at vertices[-1]
+    opt: int  # the piercing optimum of its internal targets
+    greedy: frozenset[int]  # positions of an optimum piercing
+    spans: tuple[tuple[int, int], ...]  # (lo, hi) of the internal targets not holding it whole
+    paths: tuple[tuple[int, ...], ...]  # those targets
+    whole: tuple[tuple[int, ...], ...]  # the internal targets that hold it whole
 
 
 class BranchLayout(NamedTuple):  # component_budgets' result, read by every branch of a solve
-    comps: list[ComponentData]
-    # per component: vertices, attachments' S-bits, then its internal targets: the (lo, hi)
-    # spans and the paths of those that do not hold it whole, and those that do
-    ends: list[tuple]
+    comps: list[Component]
     # per target through S: S-mask (bit i for s[i]), mask of the components it holds whole,
     # indices of its first and last S-vertex, runs as (component, (lo, hi)), itself
     targets: list[tuple]
+    skeletons: dict  # live mask -> build_flower_branch's part for it, filled as branches ask
 
 
 def component_budgets(comps: list[PathComponent], s, paths) -> BranchLayout:
-    """Per component of path_components' walk: its internal targets and
-    their piercing optimum; per target through S, its layout across S.
+    """One record per component of path_components' walk (vertices,
+    attachments' S-bits, internal targets, their piercing optimum), the
+    layout of each target through S, and an empty store of skeletons.
 
     Budget candidates for the branching step are {opt, opt + 1}. The one
     walk over the targets reads each vertex's component and 1-based position
@@ -184,23 +183,27 @@ def component_budgets(comps: list[PathComponent], s, paths) -> BranchLayout:
             else:
                 whole[ci].append(p)
             continue
+        if len(hits) == len(p):  # inside S: no runs
+            targets.append((sum(map(bit.__getitem__, hits)), 0, 0, len(p) - 1, (), p))
+            continue
         # the runs p[a:b] between the sorted positions of S-vertices, len(p) closing the last
         cuts = sorted(map(p.index, hits))
-        runs, inside, a = [], {}, 0  # inside: component -> vertices of p in it
+        runs, inside, cover, a = [], {}, 0, 0  # inside: component -> vertices of p in it
         for b in [*cuts, len(p)]:
             if a < b:
                 ci, _ = r = run(p, a, b)
                 runs.append(r)
                 inside[ci] = inside.get(ci, 0) + b - a
+                if inside[ci] == len(verts[ci]):  # p holds it whole
+                    cover |= 1 << ci
             a = b + 1
-        cover = sum(1 << ci for ci, count in inside.items() if count == len(verts[ci]))
         smask = sum(map(bit.__getitem__, hits))
         targets.append((smask, cover, cuts[0], cuts[-1], tuple(runs), p))
-    out = [ComponentData(c, *stab_intervals(len(vs), sp + [(1, len(vs))] * len(wh)))
-           for c, vs, sp, wh in zip(comps, verts, spans, whole)]  # each whole one spans (1, len)
-    ends = [(c.vertices, bit[c.attach_left], bit[c.attach_right], tuple(sp), tuple(ps), tuple(wh))
-            for c, sp, ps, wh in zip(comps, spans, inner, whole)]
-    return BranchLayout(out, ends, targets)
+    return BranchLayout([Component(vs, bit[c.attach_left], bit[c.attach_right],
+                                   *stab_intervals(len(vs), sp + [(1, len(vs))] * len(wh)),
+                                   tuple(sp), tuple(ps), tuple(wh))  # each whole one spans (1, len)
+                         for c, vs, sp, ps, wh in zip(comps, verts, spans, inner, whole)],
+                        targets, {})
 
 
 def build_flower_branch(layout: BranchLayout, budgets, s_mask: int, core_id: int) -> FlowerInstance:
@@ -208,54 +211,65 @@ def build_flower_branch(layout: BranchLayout, budgets, s_mask: int, core_id: int
     flower instance read off the solve's layout.
 
     Zero-budget components are deleted and the rest become petals, each
-    with its component's internal spans and paths as laid out; internal
-    targets of a deleted component would be emptied, and make_flower names
-    the first. A target through S that S' hits or that holds a whole petal
-    is dropped. Any other keeps the core and those of its first and last
-    runs that lie on petals: its runs between S-vertices hold their
-    components whole, so they are deleted, and its S-vertices contract to
-    the core. S' must leave a vertex of S for the core.
+    with its component's internal spans and paths; internal targets of a
+    deleted component would be emptied, and make_flower names the first.
+    That part depends only on the live mask (the components of positive
+    budget), so the layout keeps it from the mask's first branch on. A
+    target through S that S' hits or that holds a whole petal is dropped.
+    Any other keeps the core and those of its first and last runs that lie
+    on petals: its runs between S-vertices hold their components whole, so
+    they are deleted, and its S-vertices contract to the core. S' must leave
+    a vertex of S for the core.
     """
-    _, ends, targets = layout
-    petal_of = []  # per component: its petal's index, or -1 if deleted
-    petals, petal_budgets, links, live = [], [], [], 0  # live: the petals' component mask
-    paths, internal, crossing = [], [], []
-    for ci, ((vertices, left, right, spans, inner, whole), budget) in enumerate(zip(ends, budgets)):
-        petal_of.append(len(petals) if budget else -1)
-        if budget:
-            live |= 1 << ci
-            petals.append(vertices)
-            petal_budgets.append(budget)
-            internal.append(spans)
-            paths += inner
-            if not left & s_mask:
-                links.append(vertices[0])
-            if not right & s_mask:
-                links.append(vertices[-1])
-        elif spans or whole:  # emptied: make_flower rejects it by its index
-            try:
-                make_flower(core_id, petals, petal_budgets, [*paths, ()], links)
-            except ValidationError as exc:
-                raise FlowerShapeViolation(str(exc)) from exc
-    for smask, cover, first, last, runs, p in targets:
+    key = tuple(map(bool, budgets))  # the live mask
+    skeleton = layout.skeletons.get(key)
+    if skeleton is None:  # the mask's first branch; petal_of: per component its petal or -1
+        live, petal_of, petals, internal, inner, ends = 0, [], [], [], [], []
+        for ci, (c, alive) in enumerate(zip(layout.comps, key)):
+            petal_of.append(len(petals) if alive else -1)
+            if alive:
+                live |= 1 << ci
+                petals.append(c.vertices)
+                internal.append(c.spans)
+                inner += c.paths
+                ends += (c.left, c.vertices[0]), (c.right, c.vertices[-1])  # with their S-bits
+            elif c.spans or c.whole:  # emptied: make_flower rejects it by its index
+                try:
+                    make_flower(core_id, petals, [1] * len(petals), [*inner, ()])
+                except ValidationError as exc:
+                    raise FlowerShapeViolation(str(exc)) from exc
+        skeleton = layout.skeletons[key] = (live, petal_of, tuple(petals), tuple(internal),
+                                            tuple(inner), ends)
+    live, petal_of, petals, internal, inner, ends = skeleton
+    paths, crossing = [], []
+    for smask, cover, first, last, runs, p in layout.targets:
         if smask & s_mask or cover & live:
+            continue
+        if not runs:  # its S-vertices alone: the bare core
+            crossing.append(())
+            paths.append((core_id,))
             continue
         h = petal_of[runs[0][0]] if first else -1  # it keeps the end runs on petals
         t = petal_of[runs[-1][0]] if last + 1 < len(p) else -1
         frags = ((h, runs[0][1]),) if h >= 0 else ()
         crossing.append(frags + ((t, runs[-1][1]),) if t >= 0 else frags)
         paths.append((p[:first] if h >= 0 else ()) + (core_id,) + (p[last + 1 :] if t >= 0 else ()))
-    return FlowerInstance(core_id, tuple(petals), tuple(petal_budgets), tuple(paths),
-                          frozenset(links), tuple(internal), tuple(crossing))
+    links = frozenset([v for bit, v in ends if not bit & s_mask])
+    return FlowerInstance(core_id, petals, tuple(filter(None, budgets)), inner + tuple(paths),
+                          links, internal, tuple(crossing))
 
 
-def _fill_component(cd: ComponentData, budget: int) -> set[int]:
+def _fill_component(c: Component, budget: int) -> set[int]:
     """Exactly `budget` vertices of the component hitting all its internal
     targets: the greedy optimum padded with the highest unused positions."""
-    positions = pad(cd.greedy, len(cd.component.vertices), budget)
-    if len(positions) != budget:
+    chosen = {c.vertices[p - 1] for p in c.greedy}
+    for v in reversed(c.vertices):
+        if len(chosen) >= budget:
+            break
+        chosen.add(v)
+    if len(chosen) != budget:
         raise InvariantViolation(f"component cannot take a budget of {budget}")
-    return {cd.component.vertices[p - 1] for p in positions}
+    return chosen
 
 
 def _finish(inst: HitPathsInstance, chosen: frozenset[int]) -> Solution:
@@ -278,12 +292,19 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
     # k = m - n + c: c counts the walk's cycles and the components of the
     # skeleton on S, whose edges are those inside S and one per path; the
     # walk checks that every vertex outside S has degree 2, so a component
-    # with no attachment is a cycle
-    index = {v: i for i, v in enumerate(s, 1)}
-    ends = [(u, w) for u in s for w in g.neighbours[u] if w in index]
-    ends += [(p.attach_left, p.attach_right) for p in walk if p.attach_left is not None]
-    skeleton = Graph.build(len(s), {(index[min(e)], index[max(e)]) for e in ends if e[0] != e[1]})
-    c = len(skeleton.components()) + sum(p.attach_left is None for p in walk)
+    # with no attachment is a cycle. A union-find over S counts the rest.
+    root = {v: v for v in s}
+    inside = [(u, w) for u in s for w in g.neighbours[u] if w in root]  # the edges inside S
+    attached = [(p.attach_left, p.attach_right) for p in walk if p.attach_left is not None]
+    c = len(s) + sum(p.attach_left is None for p in walk)
+    for u, w in inside + attached:  # each step to a root halves the path it takes
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[w] != w:
+            root[w] = w = root[root[w]]
+        if u != w:
+            root[u] = w
+            c -= 1
     stats.k = k = g.m - g.n + c
     if pre.t_remaining < 0:
         return Solution("NO")
@@ -293,29 +314,22 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
         g = connect_components(g)
         s = high_degree_set(g)
         walk = path_components(g, set(s))
-    paths = pre.paths
-
     if not s:  # connected with minimum degree 2: a simple cycle
-        return _solve_cycle(inst, pre, walk[0].vertices, paths)
+        return _solve_cycle(inst, pre, walk[0].vertices, pre.paths)
 
-    layout = component_budgets(walk, s, paths)
+    layout = component_budgets(walk, s, pre.paths)
     comps = layout.comps
     stats.high_degree = len(s)
-    stats.components = len(comps)
-
-    opts = [cd.opt for cd in comps]
+    stats.components = nc = len(comps)
+    opts = [comp.opt for comp in comps]
     total_opt = sum(opts)
-    nc = len(comps)
     # components where opt + 1 would not fit must always get the optimum
-    must_opt_mask = 0
-    for ci, cd in enumerate(comps):
-        if cd.opt + 1 > len(cd.component.vertices):
-            must_opt_mask |= 1 << ci
+    must_opt_mask = sum(1 << ci for ci, c in enumerate(comps) if c.opt == len(c.vertices))
     core_id = inst.graph.n + 1  # above every residual id
+    full = (1 << len(s)) - 1  # S' = S
 
-    for s_mask in range(1 << len(s)):
-        s_prime = {s[i] for i in range(len(s)) if s_mask >> i & 1}
-        base_cost = len(s_prime) + total_opt + nc
+    for s_mask in range(full + 1):
+        base_cost = s_mask.bit_count() + total_opt + nc
         # the scan visits, in increasing order, only the masks both filters
         # admit: supersets of must_opt_mask with enough opt bits to fit the
         # budget; the masks it skips are counted as enumerated all the same
@@ -327,13 +341,13 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
                 continue
             stats.branches_after_filter += 1
             budgets = [opt if c_mask >> ci & 1 else opt + 1 for ci, opt in enumerate(opts)]
-            if len(s_prime) == len(s):
+            if s_mask == full:
                 # no core: every target S misses lies inside one
                 # positive-budget component, which its greedy fill hits
-                chosen = set(s_prime)
-                for ci, cd in enumerate(comps):
-                    if budgets[ci] > 0:
-                        chosen |= _fill_component(cd, budgets[ci])
+                chosen = set(s)
+                for comp, budget in zip(comps, budgets):
+                    if budget > 0:
+                        chosen |= _fill_component(comp, budget)
             else:
                 branch = build_flower_branch(layout, budgets, s_mask, core_id)
                 stats.flower_calls += 1
@@ -341,7 +355,7 @@ def solve(inst: HitPathsInstance, stats: Optional[SolveStats] = None) -> Solutio
                 if fsol.verdict != "YES":
                     c_mask = (c_mask + 1) | must_opt_mask  # the next superset
                     continue
-                chosen = set(s_prime) | set(fsol.chosen)
+                chosen = {v for i, v in enumerate(s) if s_mask >> i & 1} | fsol.chosen
             stats.branches_enumerated += c_mask + 1
             stats.solution_cost = cost
             _check_branch_bound(stats, k)

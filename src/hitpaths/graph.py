@@ -131,51 +131,53 @@ def cyclomatic_number(g: Graph) -> int:
 
 def high_degree_set(g: Graph) -> list[int]:
     """Vertices of degree at least three, ascending."""
-    adj = g.adjacency()
-    return [v for v in g.vertices() if len(adj[v]) >= 3]
+    return [v for v, ns in g.adjacency().items() if len(ns) >= 3]
 
 
 def path_components(g: Graph, s: set[int]) -> list[PathComponent]:
-    """Components of g - s. Every vertex outside s must have degree 2 in g,
-    else NotAPath is raised before any walk (solve's check that the peel
-    left minimum degree 2); each component is then an induced path with
-    both ends attached to s, or a cycle of g that s misses.
+    """Components of g - s, s a set of g's vertices. Every vertex outside s
+    must have degree 2 in g, else NotAPath is raised before any walk
+    (solve's check that the peel left minimum degree 2); each component is
+    then an induced path with both ends attached to s, or a cycle of g that
+    s misses.
 
     Orientation: the endpoint with the smaller id comes first (a lone vertex
     has its smaller neighbour on the left); a cycle runs from its smallest
     vertex towards that vertex's smaller neighbour. Components are ordered
-    by their smallest id. Each is walked from its smallest vertex, the
-    smaller neighbour first, every step taking the neighbour it did not come
-    from, until the walk reaches s or comes back round.
+    by their smallest id. A path is walked once from an end next to s, a
+    cycle from its smallest vertex, each step away from the last vertex.
     """
     adj = g.adjacency()
-    for v in g.vertices():
-        if v not in s and len(adj[v]) != 2:
-            raise NotAPath(f"vertex {v} outside s has degree {len(adj[v])}, not 2")
+    for v, ns in adj.items():
+        if len(ns) != 2 and v not in s:
+            raise NotAPath(f"vertex {v} outside s has degree {len(ns)}, not 2")
     seen: set[int] = set()
     comps: list[PathComponent] = []
-    for v in g.vertices():
-        if v in s or v in seen:
-            continue
-        halves = []
-        for w in sorted(adj[v]):
-            prev, half = v, []
-            while w not in s and w != v:
-                half.append(w)
+    for u in s:
+        for w in adj[u]:
+            if w in s or w in seen:
+                continue
+            a, prev, order = u, u, []  # a path, from the end at w
+            while w not in s:
+                order.append(w)
                 x, y = adj[w]
                 prev, w = w, (y if x == prev else x)
-            seen.update(half)
-            halves.append((half, w))
-            if w == v:  # back round: a cycle of g that s misses
-                comps.append(PathComponent((v, *half), None, None))
-                break
-        else:  # a path: each half ends at the s-vertex it attaches to
-            (left, a), (right, b) = halves
-            order = [*reversed(left), v, *right]
-            if order[-1] < order[0]:
+            seen.update(order)
+            if (order[-1], w) < (order[0], a):  # smaller end, or neighbour, first
                 order.reverse()
-                a, b = b, a
-            comps.append(PathComponent(tuple(order), a, b))
+                a, w = w, a
+            comps.append(PathComponent(tuple(order), a, w))
+    if len(seen) + len(s) < len(adj):  # the rest lies on cycles of g that s misses
+        for v in sorted(adj.keys() - s - seen):
+            if v not in seen:
+                prev, w, order = v, min(adj[v]), [v]
+                while w != v:
+                    order.append(w)
+                    x, y = adj[w]
+                    prev, w = w, (y if x == prev else x)
+                seen.update(order)
+                comps.append(PathComponent(tuple(order), None, None))
+    comps.sort(key=lambda c: min(c.vertices))
     return comps
 
 

@@ -218,8 +218,8 @@ MUTANTS = (
     Mutant(
         "a deleted component's internal targets are dropped, not rejected",
         "fpt.py",
-        "        elif spans or whole:  # emptied: make_flower rejects it by its index\n",
-        "        elif False:\n",
+        "            elif c.spans or c.whole:  # emptied: make_flower rejects it by its index\n",
+        "            elif False:\n",
         (
             "tests/test_fpt.py::test_build_flower_branch_shapes",
             "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
@@ -228,8 +228,8 @@ MUTANTS = (
     Mutant(
         "a petal takes the internal spans of the component before it",
         "fpt.py",
-        "            internal.append(spans)\n",
-        "            internal.append(ends[ci - 1][3])\n",
+        "                internal.append(c.spans)\n",
+        "                internal.append(layout.comps[ci - 1].spans)\n",
         (
             "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
             "tests/test_fpt.py::test_flower_branches_hand_on_the_layouts_internal_targets",
@@ -248,8 +248,8 @@ MUTANTS = (
     Mutant(
         "skeleton drops the edges inside S",
         "fpt.py",
-        "    ends = [(u, w) for u in s for w in g.neighbours[u] if w in index]\n",
-        "    ends = []\n",
+        "    inside = [(u, w) for u in s for w in g.neighbours[u] if w in root]  # the edges inside S\n",
+        "    inside = []\n",
         (
             "tests/test_fpt.py::test_k_and_verdict_come_off_the_walk",
             "tests/test_fpt.py::test_connected_input_runs_one_component_search",
@@ -258,11 +258,42 @@ MUTANTS = (
     Mutant(
         "k's component count misses the walk's cycles",
         "fpt.py",
-        "    c = len(skeleton.components()) + sum(p.attach_left is None for p in walk)\n",
-        "    c = len(skeleton.components())\n",
+        "    c = len(s) + sum(p.attach_left is None for p in walk)\n",
+        "    c = len(s)\n",
         (
             "tests/test_fpt.py::test_solve_disconnected_graph",
             "tests/test_fpt.py::test_k_and_verdict_come_off_the_walk",
+        ),
+    ),
+    Mutant(
+        "the union-find skipping the edges inside S",
+        "fpt.py",
+        "    for u, w in inside + attached:  # each step to a root halves the path it takes\n",
+        "    for u, w in attached:  # each step to a root halves the path it takes\n",
+        (
+            "tests/test_fpt.py::test_union_find_counts_skeletons_the_walk_does_not_attach",
+            "tests/test_fpt.py::test_k_and_verdict_come_off_the_walk",
+        ),
+    ),
+    Mutant(
+        "the skeleton cache keyed by a constant (one skeleton per layout)",
+        "fpt.py",
+        "    skeleton = layout.skeletons.get(key)\n",
+        "    skeleton = next(iter(layout.skeletons.values()), None)\n",
+        (
+            "tests/test_fpt.py::test_flower_branches_share_one_skeleton_per_live_mask",
+            "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
+        ),
+    ),
+    Mutant(
+        "the stored skeleton keeping the first S' core links",
+        "fpt.py",
+        "                ends += (c.left, c.vertices[0]), (c.right, c.vertices[-1])  # with their S-bits\n",
+        "                ends += [(0, v) for v, b in ((c.vertices[0], c.left), (c.vertices[-1], c.right))\n"
+        "                         if not b & s_mask]\n",
+        (
+            "tests/test_fpt.py::test_flower_branches_share_one_skeleton_per_live_mask",
+            "tests/test_fpt.py::test_flower_branch_matches_rebuilding_reference",
         ),
     ),
     Mutant(
@@ -278,7 +309,7 @@ MUTANTS = (
     Mutant(
         "walk skips its degree check",
         "graph.py",
-        "        if v not in s and len(adj[v]) != 2:\n",
+        "        if len(ns) != 2 and v not in s:\n",
         "        if False:\n",
         (
             "tests/test_graph.py::test_path_components_rejects_a_vertex_outside_s_of_degree_other_than_2",
@@ -288,8 +319,8 @@ MUTANTS = (
     Mutant(
         "cycle walked towards the larger neighbour",
         "graph.py",
-        "sorted(adj[v])",
-        "sorted(adj[v], reverse=True)",
+        "min(adj[v])",
+        "max(adj[v])",
         (
             "tests/test_graph.py::test_path_components_rejects_cycles_and_branching",
             "tests/test_graph.py::test_path_components_matches_reference_on_residuals",

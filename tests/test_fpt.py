@@ -118,8 +118,8 @@ def test_component_budgets_on_c4_chord():
     s = high_degree_set(C4_CHORD)
     assert s == [1, 3]
     comps = component_budgets(path_components(C4_CHORD, set(s)), s, [(2,)]).comps
-    assert [cd.component.vertices for cd in comps] == [(2,), (4,)]
-    assert [cd.opt for cd in comps] == [1, 0]
+    assert [c.vertices for c in comps] == [(2,), (4,)]
+    assert [c.opt for c in comps] == [1, 0]
 
 
 def test_build_flower_branch_shapes():
@@ -352,6 +352,37 @@ def test_k_and_verdict_come_off_the_walk():
     assert with_cycle > 400, with_cycle
 
 
+def test_union_find_counts_skeletons_the_walk_does_not_attach():
+    # solve counts the skeleton on S with a union-find over the edges inside
+    # S and one attachment pair per path; in these residuals S induces
+    # edges and whole components lie inside S, so the walk has few or no
+    # attachments to lean on, and one path is attached at both ends to the
+    # same S-vertex
+    k4 = [(u, v) for u in range(1, 5) for v in range(u + 1, 5)]
+    graphs = {
+        "K4": (4, k4),
+        "K3,3": (6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]),
+        "two K4s and a bridge": (8, k4 + [(u + 4, v + 4) for u, v in k4] + [(4, 5)]),
+        "K4 beside a cycle": (9, k4 + [(5, 6), (6, 7), (7, 8), (8, 9), (9, 5)]),
+        "K4 with a loop path at 1": (6, k4 + [(1, 5), (5, 6), (6, 1)]),
+    }
+    rng = random.Random(127)
+    verdicts = Counter()
+    for name, (n, edges) in graphs.items():
+        g = Graph.build(n, edges)
+        for _ in range(12):
+            targets = random_walk_targets(rng, g, rng.randint(0, 6))
+            inst = make_instance(g, targets, rng.randint(0, 3))
+            stats = SolveStats()
+            sol = solve(inst, stats)
+            assert stats.k == cyclomatic_number(g), name
+            assert sol.verdict == reference_verdict(inst).verdict, name
+            if sol.verdict == "YES":
+                check_yes(inst, sol)
+            verdicts[sol.verdict] += 1
+    assert verdicts["YES"] > 10 and verdicts["NO"] > 10, verdicts
+
+
 def with_adjacency(n, edges, extra=(), missing=()):
     """A graph of len(edges) edges whose neighbour sets have the `extra`
     edges on top of `edges` and lack the one-sided `missing` entries (v
@@ -541,53 +572,54 @@ def test_connected_input_runs_one_component_search(monkeypatch):
     for inst in insts:
         pre = preprocess(inst)
         residual = pre.graph
-        skeleton = len(high_degree_set(residual))
         sizes.clear()
         solve(inst)
-        # a NO from the budget alone comes before the bridge
-        if len(search(residual)) <= 1 or pre.t_remaining < 0:  # only the skeleton on S
-            assert sizes == [skeleton]
+        # the skeleton on S is counted by a union-find, so a connected
+        # residual runs no search at all; a NO from the budget alone comes
+        # before the bridge
+        if len(search(residual)) <= 1 or pre.t_remaining < 0:
+            assert sizes == []
             peeled = residual is not inst.graph
             seen["peeled" if peeled else "as is"] += len(search(inst.graph)) == 1
-        else:  # and the residual once, to bridge it
-            assert sorted(sizes) == [skeleton, residual.n]
+        else:  # the residual once, to bridge it
+            assert sizes == [residual.n]
             seen["bridged"] += 1
     assert seen["as is"] > 150 and seen["peeled"] > 250 and seen["bridged"] > 50, seen
 
 
 def rebuilding_flower_branch(s, comps, budgets, s_prime, paths, core_id):
-    """The earlier build_flower_branch, kept as the reference: it rebuilds
-    the vertex -> component map per branch, tests whole-component cover
-    with a component-sized set per (target, touched component), and
-    contracts the core vertex by vertex."""
+    """The earlier build_flower_branch, kept as the reference: from the
+    walk's components alone, it rebuilds the vertex -> component map per
+    branch, tests whole-component cover with a component-sized set per
+    (target, touched component), and contracts the core vertex by vertex."""
     comp_of = {}
-    for ci, cd in enumerate(comps):
-        for v in cd.component.vertices:
+    for ci, comp in enumerate(comps):
+        for v in comp.vertices:
             comp_of[v] = ci
     core_set = set(s) - s_prime
     dead = set()
-    for ci, cd in enumerate(comps):
+    for ci, comp in enumerate(comps):
         if budgets[ci] == 0:
-            dead.update(cd.component.vertices)
+            dead.update(comp.vertices)
     surviving = []
     for p in paths:
         pv = set(p)
         if pv & s_prime:
             continue
         touched = {comp_of[v] for v in p if v in comp_of}
-        if any(budgets[ci] > 0 and set(comps[ci].component.vertices) <= pv for ci in touched):
+        if any(budgets[ci] > 0 and set(comps[ci].vertices) <= pv for ci in touched):
             continue
         surviving.append([v for v in p if v not in dead])
     petals, petal_budgets, links = [], [], set()
-    for ci, cd in enumerate(comps):
+    for ci, comp in enumerate(comps):
         if budgets[ci] == 0:
             continue
-        petals.append(cd.component.vertices)
+        petals.append(comp.vertices)
         petal_budgets.append(budgets[ci])
-        if cd.component.attach_left in core_set:
-            links.add(cd.component.vertices[0])
-        if cd.component.attach_right in core_set:
-            links.add(cd.component.vertices[-1])
+        if comp.attach_left in core_set:
+            links.add(comp.vertices[0])
+        if comp.attach_right in core_set:
+            links.add(comp.vertices[-1])
     flower_paths = []
     for p in surviving:
         seq = []
@@ -669,15 +701,15 @@ def test_flower_branch_matches_rebuilding_reference():
         for s_mask in range((1 << len(s)) - 1):  # S' must leave a core
             s_prime = {v for i, v in enumerate(s) if s_mask >> i & 1}
             branches = [
-                [cd.opt + (c_mask >> ci & 1) for ci, cd in enumerate(comps)]
+                [c.opt + (c_mask >> ci & 1) for ci, c in enumerate(comps)]
                 for c_mask in range(1 << len(comps))
             ]
-            branches.append([rng.choice([0, cd.opt, cd.opt + 1]) for cd in comps])
+            branches.append([rng.choice([0, c.opt, c.opt + 1]) for c in comps])
             for budgets in branches:
-                want = branch_outcome(rebuilding_flower_branch, s, comps, budgets, s_prime, paths,
+                want = branch_outcome(rebuilding_flower_branch, s, walk, budgets, s_prime, paths,
                                       core_id)
                 assert branch_outcome(build_flower_branch, layout, budgets, s_mask, core_id) == want
-                if rejected and branch_outcome(rebuilding_flower_branch, s, comps, budgets,
+                if rejected and branch_outcome(rebuilding_flower_branch, s, walk, budgets,
                                                s_prime, rejected, core_id) == COLLAPSE:
                     outcomes[COLLAPSE] += 1
                 if isinstance(want, str):
@@ -698,18 +730,83 @@ def test_flower_branches_hand_on_the_layouts_internal_targets():
     pre = preprocess(inst)
     s = high_degree_set(pre.graph)
     layout = component_budgets(path_components(pre.graph, set(s)), s, pre.paths)
-    opts = [cd.opt for cd in layout.comps]
+    opts = [c.opt for c in layout.comps]
     flowers = []
     for s_mask, budgets in [(0, opts), (1, [opt + ci % 2 for ci, opt in enumerate(opts)])]:
         flower = build_flower_branch(layout, budgets, s_mask, inst.graph.n + 1)
-        kept = [end for end, budget in zip(layout.ends, budgets) if budget]
+        kept = [c for c, budget in zip(layout.comps, budgets) if budget]
         assert len(flower.internal) == len(kept) > 1
-        assert all(spans is end[3] and spans for spans, end in zip(flower.internal, kept))
-        inner = [p for end in kept for p in end[4]]
+        assert all(spans is c.spans and spans for spans, c in zip(flower.internal, kept))
+        inner = [p for c in kept for p in c.paths]
         assert list(flower.paths[: len(inner)]) == inner
         assert len(flower.paths) == len(inner) + len(flower.crossing)
         flowers.append(flower)
     assert flowers[0] != flowers[1]
+
+
+def test_flower_branches_share_one_skeleton_per_live_mask():
+    # the first branch of a live mask (the components of positive budget)
+    # stores the branch-independent part of its flower in the layout, and
+    # later branches of that mask reuse it. Branches built on one layout in
+    # shuffled S' and budget order must equal builds on a fresh layout and
+    # the rebuilding reference: every flower branch of scaling_instance(2)
+    # and (3), and of random residuals with opt == 0 components, where a
+    # zero budget for such a component makes several live masks recur
+    # within one S'
+    rng = random.Random(131)
+    insts = [scaling_instance(2), scaling_instance(3)]
+    seed = 0
+    while len(insts) < 60:
+        seed += 1
+        inst = gen_random_instance(
+            GeneratorConfig(seed=11000 + seed, k=rng.randint(2, 3), n=rng.randint(6, 14),
+                            num_paths=rng.randint(1, 8), max_path_len=rng.randint(1, 5),
+                            t_policy="random")
+        )
+        pre = preprocess(inst)
+        if pre.graph.n == 0 or not high_degree_set(connect_components(pre.graph)):
+            continue
+        g = connect_components(pre.graph)
+        s = high_degree_set(g)
+        layout = component_budgets(path_components(g, set(s)), s, pre.paths)
+        if any(c.opt == 0 for c in layout.comps):
+            insts.append(inst)
+    recurring = 0
+    for inst in insts:
+        pre = preprocess(inst)
+        g = connect_components(pre.graph)
+        s = high_degree_set(g)
+        walk = path_components(g, set(s))
+        layout = component_budgets(walk, s, pre.paths)
+        core_id = inst.graph.n + 1
+        branches = [(s_mask, [c.opt + (c_mask >> ci & 1) for ci, c in enumerate(layout.comps)])
+                    for s_mask in range((1 << len(s)) - 1) for c_mask in range(1 << len(walk))]
+        branches += [(s_mask, [0 if c.opt == 0 and rng.random() < 0.5 else c.opt + rng.randint(0, 1)
+                               for c in layout.comps])
+                     for s_mask, _ in branches]
+        rng.shuffle(branches)
+        shared = {}  # live mask -> the petals tuple of its first branch
+        masks = {}  # S' -> the live masks of its branches
+        for s_mask, budgets in branches:
+            flower = build_flower_branch(layout, budgets, s_mask, core_id)
+            fresh = component_budgets(walk, s, pre.paths)
+            assert flower == build_flower_branch(fresh, budgets, s_mask, core_id)
+            s_prime = {v for i, v in enumerate(s) if s_mask >> i & 1}
+            assert flower._replace(paths=Counter(flower.paths)) == branch_outcome(
+                rebuilding_flower_branch, s, walk, budgets, s_prime, pre.paths, core_id)
+            live = tuple(map(bool, budgets))
+            assert flower.petals is shared.setdefault(live, flower.petals)
+            masks.setdefault(s_mask, set()).add(live)
+        recurring += sum(len(lives) > 1 for lives in masks.values())
+    assert recurring > 100, recurring
+    # an emptied component is rejected by every call of its live mask, the
+    # stored masks of other branches notwithstanding
+    layout = component_budgets(path_components(THETA, {1, 2}), [1, 2], [(7,), (4,), (6,)])
+    for _ in range(3):
+        with pytest.raises(FlowerShapeViolation, match=r"^path 3 is empty"):
+            build_flower_branch(layout, [1, 1, 0], 0, 8)
+        build_flower_branch(layout, [1, 1, 1], 0, 8)
+    assert len(layout.skeletons) == 1  # the emptied mask is not stored
 
 
 def test_long_flower_branch_is_linear():
@@ -774,8 +871,8 @@ def covered_by(layout, paths):
     read from its whole internal targets and the through-S cover masks."""
     cover = {target[-1]: target[1] for target in layout.targets}
     return [
-        frozenset(i for i, p in enumerate(paths) if p in end[5] or cover.get(p, 0) >> ci & 1)
-        for ci, end in enumerate(layout.ends)
+        frozenset(i for i, p in enumerate(paths) if p in c.whole or cover.get(p, 0) >> ci & 1)
+        for ci, c in enumerate(layout.comps)
     ]
 
 
@@ -812,12 +909,18 @@ def vertex_layout(comps, s, paths):
     return ends, targets
 
 
+def entries(layout):
+    """Per component record of the layout, all but its opt and greedy."""
+    return [(c.vertices, c.left, c.right, c.spans, c.paths, c.whole) for c in layout.comps]
+
+
 def assert_same_budgets(g, s, paths):
     walk = path_components(g, set(s))
     got = component_budgets(walk, s, paths)
     want = classifying_component_budgets(g, s, paths)
-    assert [(*cd, cover) for cd, cover in zip(got.comps, covered_by(got, paths))] == want
-    assert (got.ends, got.targets) == vertex_layout(walk, s, paths)
+    assert [(comp, c.opt, c.greedy, cover)
+            for comp, c, cover in zip(walk, got.comps, covered_by(got, paths))] == want
+    assert (entries(got), got.targets) == vertex_layout(walk, s, paths)
     return got
 
 
@@ -849,7 +952,7 @@ def test_component_budgets_cuts_targets_at_their_s_vertices():
     ]:
         paths = [(4,), target, (5, 6)]
         layout = assert_same_budgets(THETA, s, paths)
-        assert [cd.component.vertices for cd in layout.comps] == [(3, 4), (5, 6), (7,)]
+        assert [c.vertices for c in layout.comps] == [(3, 4), (5, 6), (7,)]
         cover = covered_by(layout, paths)
         assert {ci for ci, held in enumerate(cover) if 1 in held} == covers, target
         assert layout.targets == [
@@ -857,7 +960,7 @@ def test_component_budgets_cuts_targets_at_their_s_vertices():
         ], target
         # inside one component, no S-vertex: (4,) at position 2 of (3, 4) is a
         # span and a path; (5, 6) holds its component whole
-        assert layout.ends == [
+        assert entries(layout) == [
             ((3, 4), 1, 2, (b,), ((4,),), ()),
             ((5, 6), 1, 2, (), (), ((5, 6),)),
             ((7,), 1, 2, (), (), ()),
@@ -892,7 +995,7 @@ def test_component_budgets_matches_classifying_reference():
         residuals += 1
         paths = [*pre.paths, *random_walk_targets(rng, g, 10)]
         layout = assert_same_budgets(g, s, paths)
-        comp_of = {v: ci for ci, cd in enumerate(layout.comps) for v in cd.component.vertices}
+        comp_of = {v: ci for ci, c in enumerate(layout.comps) for v in c.vertices}
         for p in paths:
             cids = [comp_of.get(v) for v in p]
             runs = [c for c, prev in zip(cids, [None, *cids]) if c is not None and c != prev]
@@ -922,11 +1025,11 @@ def scanning_solve(inst):
     s = high_degree_set(g)
     layout = component_budgets(path_components(g, set(s)), s, pre.paths)
     comps = layout.comps
-    total_opt = sum(cd.opt for cd in comps)
+    total_opt = sum(c.opt for c in comps)
     nc = len(comps)
     must_opt_mask = 0
-    for ci, cd in enumerate(comps):
-        if cd.opt + 1 > len(cd.component.vertices):
+    for ci, c in enumerate(comps):
+        if c.opt + 1 > len(c.vertices):
             must_opt_mask |= 1 << ci
     core_id = inst.graph.n + 1  # above every residual id
     for s_mask in range(1 << len(s)):
@@ -940,12 +1043,12 @@ def scanning_solve(inst):
             if c_mask & must_opt_mask != must_opt_mask:
                 continue
             stats.branches_after_filter += 1
-            budgets = [cd.opt if c_mask >> ci & 1 else cd.opt + 1 for ci, cd in enumerate(comps)]
+            budgets = [c.opt if c_mask >> ci & 1 else c.opt + 1 for ci, c in enumerate(comps)]
             if len(s_prime) == len(s):
                 chosen = set(s_prime)
-                for cd, budget in zip(comps, budgets):
+                for c, budget in zip(comps, budgets):
                     if budget > 0:
-                        chosen |= _fill_component(cd, budget)
+                        chosen |= _fill_component(c, budget)
             else:
                 stats.flower_calls += 1
                 branch = build_flower_branch(layout, budgets, s_mask, core_id)
